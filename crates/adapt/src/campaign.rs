@@ -2,7 +2,7 @@
 //! schemes over a chip population and the 16-workload suite.
 
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::cell::RefCell;
 
 use eval_trace::flight::render_postmortem;
 use eval_trace::provenance;
@@ -81,6 +81,12 @@ pub enum CampaignError {
     },
     /// A structural invariant of the parallel chip sweep was violated.
     Internal(&'static str),
+    /// A population dimension is zero or empty, so there is nothing to
+    /// run.
+    Empty {
+        /// The offending field: `chips`, `workloads` or `cores_per_chip`.
+        field: &'static str,
+    },
     /// The checkpoint sidecar could not be written, read, or trusted.
     Checkpoint(CheckpointError),
     /// Every chip in the population was quarantined; there is nothing to
@@ -98,6 +104,7 @@ impl std::fmt::Display for CampaignError {
                 write!(f, "{context}: {source}")
             }
             CampaignError::Internal(what) => write!(f, "internal campaign error: {what}"),
+            CampaignError::Empty { field } => write!(f, "campaign needs at least one of `{field}`"),
             CampaignError::Checkpoint(source) => write!(f, "{source}"),
             CampaignError::AllChipsFailed { first } => {
                 write!(f, "every chip failed; first error: {first}")
@@ -111,7 +118,9 @@ impl std::error::Error for CampaignError {
         match self {
             CampaignError::Infeasible { source, .. } => Some(source),
             CampaignError::Checkpoint(source) => Some(source),
-            CampaignError::Internal(_) | CampaignError::AllChipsFailed { .. } => None,
+            CampaignError::Internal(_)
+            | CampaignError::Empty { .. }
+            | CampaignError::AllChipsFailed { .. } => None,
         }
     }
 }
@@ -250,12 +259,6 @@ pub struct Campaign {
     pub cores_per_chip: usize,
     /// Worker threads for the chip-parallel Monte Carlo (0 = all cores).
     pub threads: usize,
-    /// Worker threads *inside* each chip's sweep (0 = all cores): the
-    /// chip's (core, environment × scheme) cells are claimed off a shared
-    /// counter and merged in unit order, so results and traces are
-    /// bit-identical for any setting. Execution-only — excluded from the
-    /// checkpoint fingerprint, like [`Campaign::threads`].
-    pub intra_chip_threads: usize,
     /// Fault-injection hook for crash/quarantine tests: the chip at this
     /// index fails immediately (before emitting any trace output) instead
     /// of running. Execution-only — excluded from the checkpoint
@@ -287,7 +290,6 @@ impl Campaign {
             training: TrainingBudget::default(),
             cores_per_chip: 1,
             threads: 0,
-            intra_chip_threads: 1,
             fail_chip: None,
             postmortem_dir: None,
             flight_recorder_capacity: 64,
@@ -304,12 +306,10 @@ impl Campaign {
     ///
     /// # Errors
     ///
-    /// Returns [`CampaignError`] if a reference or statically provisioned
-    /// operating point turns out to be thermally infeasible on some chip.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chips`, `workloads` or `cores_per_chip` is empty/zero.
+    /// Returns [`CampaignError::Empty`] if `chips`, `workloads` or
+    /// `cores_per_chip` is zero, and [`CampaignError::Infeasible`] if a
+    /// reference or statically provisioned operating point turns out to
+    /// be thermally infeasible on some chip.
     pub fn run(
         &self,
         envs: &[Environment],
@@ -332,14 +332,11 @@ impl Campaign {
     ///
     /// # Errors
     ///
-    /// Returns [`CampaignError`] if a reference operating point turns out
-    /// to be thermally infeasible, or if *every* chip was quarantined.
+    /// Returns [`CampaignError`] if the population is empty (see
+    /// [`Campaign::run`]), if a reference operating point turns out to be
+    /// thermally infeasible, or if *every* chip was quarantined.
     /// Individual chip faults no longer abort the sweep — see
     /// [`ChipOutcome`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chips`, `workloads` or `cores_per_chip` is empty/zero.
     pub fn run_traced(
         &self,
         envs: &[Environment],
@@ -363,10 +360,6 @@ impl Campaign {
     /// Everything [`Campaign::run_traced`] returns, plus
     /// [`CampaignError::Checkpoint`] for sidecar I/O failures, corruption
     /// before the final line, or a fingerprint mismatch on resume.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chips`, `workloads` or `cores_per_chip` is empty/zero.
     pub fn run_checkpointed(
         &self,
         envs: &[Environment],
@@ -377,6 +370,20 @@ impl Campaign {
         self.run_core(envs, schemes, tracer, Some(opts))
     }
 
+    /// Rejects a population with nothing to run.
+    fn validate(&self) -> Result<(), CampaignError> {
+        let field = if self.chips == 0 {
+            "chips"
+        } else if self.workloads.is_empty() {
+            "workloads"
+        } else if self.cores_per_chip == 0 {
+            "cores_per_chip"
+        } else {
+            return Ok(());
+        };
+        Err(CampaignError::Empty { field })
+    }
+
     fn run_core(
         &self,
         envs: &[Environment],
@@ -384,9 +391,7 @@ impl Campaign {
         tracer: Tracer<'_>,
         ckpt: Option<&CheckpointOptions>,
     ) -> Result<CampaignResult, CampaignError> {
-        assert!(self.chips > 0, "need at least one chip");
-        assert!(!self.workloads.is_empty(), "need at least one workload");
-        assert!(self.cores_per_chip >= 1, "need at least one core");
+        self.validate()?;
 
         let pairs: Vec<(Environment, Scheme)> = envs
             .iter()
@@ -685,7 +690,7 @@ impl Campaign {
         postmortem: Option<&PostmortemSink<'_>>,
     ) -> ChipOutcome {
         let recorder =
-            postmortem.map(|_| Mutex::new(FlightRecorder::new(self.flight_recorder_capacity)));
+            postmortem.map(|_| RefCell::new(FlightRecorder::new(self.flight_recorder_capacity)));
         if self.fail_chip == Some(chip_idx) {
             let error = CampaignError::Internal("injected chip fault (fail_chip)");
             // The injected fault must keep firing *before* any trace
@@ -730,17 +735,10 @@ impl Campaign {
     /// The baseline reference plus one cell per requested (environment,
     /// scheme) pair, summed over the chip's cores.
     ///
-    /// The chip marker, characterization, and per-core reference
-    /// baselines run serially into the chip tracer; the remaining work is
-    /// `cores_per_chip * pairs.len()` independent units — one (core,
-    /// environment, scheme) cell each — claimed off an atomic counter by
-    /// [`Campaign::intra_chip_threads`] workers. Each unit traces into
-    /// its own buffer; buffers are replayed and sums accumulated in unit
-    /// order (core-major, matching the former serial loop nest), so the
-    /// chip's event stream and every f64 sum are bit-identical for any
-    /// thread count. On a unit fault the replay stops after the failing
-    /// unit — exactly what a serial sweep would have traced — and the
-    /// chip is quarantined.
+    /// After the chip marker, characterization, and per-core reference
+    /// baselines, the chip runs `cores_per_chip * pairs.len()` units —
+    /// one (core, environment, scheme) cell each — in core-major order.
+    /// The first unit fault stops the sweep and quarantines the chip.
     #[allow(clippy::too_many_arguments)]
     fn run_one_chip_inner(
         &self,
@@ -750,7 +748,7 @@ impl Campaign {
         profiles: &[WorkloadProfile],
         novar_perf: &[f64],
         tracer: Tracer<'_>,
-        recorder: Option<&Mutex<FlightRecorder>>,
+        recorder: Option<&RefCell<FlightRecorder>>,
     ) -> Result<(CellResult, Vec<CellResult>), CampaignError> {
         let _chip_span = tracer.span("chip");
         tracer.event(|| Event::ChipStart {
@@ -768,74 +766,10 @@ impl Campaign {
             );
         }
 
-        let n_units = self.cores_per_chip * pairs.len();
-        let workers = if self.intra_chip_threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            self.intra_chip_threads
-        }
-        .min(n_units)
-        .max(1);
-        // Per-unit buffers keep worker interleaving out of the chip's
-        // event stream; units are claimed off a shared counter so a slow
-        // cell never idles the other workers.
-        let buffers: Vec<BufferSink> = (0..n_units).map(|_| BufferSink::new()).collect();
-        let slots: std::sync::Mutex<Vec<Option<Result<CellResult, CampaignError>>>> =
-            std::sync::Mutex::new(vec![None; n_units]);
-        let next_unit = std::sync::atomic::AtomicUsize::new(0);
-        // After a fault, workers stop *claiming*; in-flight units still
-        // finish, so the claimed prefix of `slots` is always complete.
-        let faulted = std::sync::atomic::AtomicBool::new(false);
-        let run_units = || loop {
-            if faulted.load(std::sync::atomic::Ordering::Relaxed) {
-                break;
-            }
-            let unit = next_unit.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            if unit >= n_units {
-                break;
-            }
-            let unit_tracer = if tracer.enabled() {
-                tracer.buffered(&buffers[unit])
-            } else {
-                tracer.without_sink()
-            };
-            let outcome =
-                self.run_unit(&chip, unit, pairs, profiles, novar_perf, unit_tracer, recorder);
-            if outcome.is_err() {
-                faulted.store(true, std::sync::atomic::Ordering::Relaxed);
-            }
-            let mut guard = slots.lock().unwrap_or_else(|e| e.into_inner());
-            guard[unit] = Some(outcome);
-        };
-        if workers > 1 {
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(run_units);
-                }
-            });
-        } else {
-            run_units();
-        }
-
-        // Deterministic merge: replay + accumulate in unit order. Claims
-        // are a prefix (atomic counter), so the first empty slot can only
-        // follow a stored fault.
-        let slots = slots.into_inner().unwrap_or_else(|e| e.into_inner());
         let mut cells = vec![CellResult::default(); pairs.len()];
-        for (unit, slot) in slots.into_iter().enumerate() {
-            match slot {
-                Some(Ok(cell)) => {
-                    tracer.replay(buffers[unit].drain());
-                    accumulate(&mut cells[unit % pairs.len()], &cell);
-                }
-                Some(Err(error)) => {
-                    tracer.replay(buffers[unit].drain());
-                    return Err(error);
-                }
-                None => return Err(CampaignError::Internal("unit skipped without a fault")),
-            }
+        for unit in 0..self.cores_per_chip * pairs.len() {
+            let cell = self.run_unit(&chip, unit, pairs, profiles, novar_perf, tracer, recorder)?;
+            accumulate(&mut cells[unit % pairs.len()], &cell);
         }
         Ok((baseline, cells))
     }
@@ -851,7 +785,7 @@ impl Campaign {
         profiles: &[WorkloadProfile],
         novar_perf: &[f64],
         tracer: Tracer<'_>,
-        recorder: Option<&Mutex<FlightRecorder>>,
+        recorder: Option<&RefCell<FlightRecorder>>,
     ) -> Result<CellResult, CampaignError> {
         let core_idx = unit / pairs.len();
         let (env, scheme) = pairs[unit % pairs.len()];
@@ -900,14 +834,15 @@ impl Campaign {
     ///
     /// # Errors
     ///
-    /// Returns [`CampaignError`] if a statically provisioned operating
+    /// Returns [`CampaignError::Empty`] for an empty population, and
+    /// [`CampaignError::Infeasible`] if a statically provisioned operating
     /// point turns out to be thermally infeasible on some chip.
     pub fn run_per_workload(
         &self,
         env: Environment,
         scheme: Scheme,
     ) -> Result<Vec<(&'static str, CellResult)>, CampaignError> {
-        assert!(self.chips > 0, "need at least one chip");
+        self.validate()?;
         let factory = ChipFactory::new(self.config.clone());
         let profiles: Vec<WorkloadProfile> = self
             .workloads
@@ -1187,7 +1122,7 @@ fn synthetic_worst_phase(profile: &WorkloadProfile) -> PhaseProfile {
 /// One unit's handle into the chip's shared flight recorder.
 #[derive(Clone, Copy)]
 struct FlightCtx<'a> {
-    recorder: &'a Mutex<FlightRecorder>,
+    recorder: &'a RefCell<FlightRecorder>,
     /// Unit index within the chip (core-major), stamped into entries so
     /// a postmortem can name the cell that was deciding.
     unit: u64,
@@ -1204,22 +1139,19 @@ impl FlightCtx<'_> {
         phase: u64,
         d: &PhaseDecision,
     ) {
-        self.recorder
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(FlightEntry {
-                seq: 0,
-                unit: self.unit,
-                scheme,
-                env: env.name,
-                workload,
-                phase,
-                f_ghz: d.f_ghz,
-                pe_per_instruction: d.evaluation.pe_per_instruction,
-                power_w: d.evaluation.total_power_w,
-                binding: d.binding,
-                outcome: d.outcome.label(),
-            });
+        self.recorder.borrow_mut().push(FlightEntry {
+            seq: 0,
+            unit: self.unit,
+            scheme,
+            env: env.name,
+            workload,
+            phase,
+            f_ghz: d.f_ghz,
+            pe_per_instruction: d.evaluation.pe_per_instruction,
+            power_w: d.evaluation.total_power_w,
+            binding: d.binding,
+            outcome: d.outcome.label(),
+        });
     }
 }
 
@@ -1240,10 +1172,10 @@ impl PostmortemSink<'_> {
         campaign: &Campaign,
         chip_idx: usize,
         error: &CampaignError,
-        recorder: &Mutex<FlightRecorder>,
+        recorder: &RefCell<FlightRecorder>,
         tracer: Tracer<'_>,
     ) {
-        let ring = recorder.lock().unwrap_or_else(|e| e.into_inner());
+        let ring = recorder.borrow();
         let rendered_error = error.to_string();
         let body = render_postmortem(
             &PostmortemHeader {
@@ -1563,32 +1495,50 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    #[test]
-    fn intra_chip_threads_do_not_perturb_results_or_traces() {
-        use eval_trace::Collector;
-        let envs = [Environment::TS, Environment::TS_ASV];
-        let schemes = [Scheme::Static, Scheme::ExhDyn];
-        let mut serial = tiny_campaign();
-        serial.chips = 1;
-        serial.intra_chip_threads = 1;
-        let sink_serial = Collector::new();
-        let r_serial = serial
-            .run_traced(&envs, &schemes, Tracer::new(&sink_serial))
-            .expect("serial intra-chip campaign runs");
-        for workers in [2usize, 0] {
-            let mut par = serial.clone();
-            par.intra_chip_threads = workers;
-            let sink_par = Collector::new();
-            let r_par = par
-                .run_traced(&envs, &schemes, Tracer::new(&sink_par))
-                .expect("parallel intra-chip campaign runs");
-            assert_eq!(r_serial, r_par, "results drifted at {workers} workers");
-            assert_eq!(
-                sink_serial.event_lines(),
-                sink_par.event_lines(),
-                "trace drifted at {workers} workers"
+    /// Every public entry point rejects `c` with `CampaignError::Empty`
+    /// naming `field`, before touching the checkpoint sidecar.
+    fn assert_rejected_as_empty(c: &Campaign, field: &str) {
+        let envs = [Environment::TS];
+        let schemes = [Scheme::ExhDyn];
+        let opts = CheckpointOptions {
+            path: std::env::temp_dir()
+                .join(format!("eval-adapt-empty-{}.jsonl", std::process::id())),
+            resume: false,
+        };
+        for err in [
+            c.run(&envs, &schemes).err(),
+            c.run_traced(&envs, &schemes, Tracer::noop()).err(),
+            c.run_checkpointed(&envs, &schemes, Tracer::noop(), &opts)
+                .err(),
+            c.run_per_workload(Environment::TS, Scheme::ExhDyn).err(),
+        ] {
+            assert!(
+                matches!(err, Some(CampaignError::Empty { field: f }) if f == field),
+                "{err:?}"
             );
         }
+        assert!(!opts.path.exists(), "sidecar created for an empty campaign");
+    }
+
+    #[test]
+    fn zero_chips_is_a_typed_error() {
+        let mut c = tiny_campaign();
+        c.chips = 0;
+        assert_rejected_as_empty(&c, "chips");
+    }
+
+    #[test]
+    fn no_workloads_is_a_typed_error() {
+        let mut c = tiny_campaign();
+        c.workloads.clear();
+        assert_rejected_as_empty(&c, "workloads");
+    }
+
+    #[test]
+    fn zero_cores_per_chip_is_a_typed_error() {
+        let mut c = tiny_campaign();
+        c.cores_per_chip = 0;
+        assert_rejected_as_empty(&c, "cores_per_chip");
     }
 
     #[test]

@@ -66,7 +66,7 @@ impl Trained {
 
 /// Controllers for one (subsystem, variant) pair.
 #[derive(Debug, Clone)]
-pub(crate) struct SubsystemControllers {
+struct SubsystemControllers {
     freq: Trained,
     vdd: Trained,
     vbb: Trained,
@@ -74,10 +74,8 @@ pub(crate) struct SubsystemControllers {
 
 /// Trains one fuzzy bank (`Freq`, `Vdd`, `Vbb`) from a teacher example
 /// set, returning the bank and the `Freq` controller's RMS error on its
-/// normalized training set (0 unless `want_rms`). Shared between
-/// [`FuzzyOptimizer::train_traced`] and the controller zoo, so both
-/// produce bit-identical controllers from the same examples.
-pub(crate) fn train_bank(
+/// normalized training set (0 unless `want_rms`).
+fn train_bank(
     ex: &TeacherExamples,
     budget: &TrainingBudget,
     id: SubsystemId,
@@ -114,16 +112,6 @@ pub struct FuzzyOptimizer {
 }
 
 impl FuzzyOptimizer {
-    /// Assembles a deployable optimizer from pre-trained banks (the
-    /// controller zoo trains all families from one teacher sweep and
-    /// hands the fuzzy banks here).
-    pub(crate) fn from_banks(
-        env: Environment,
-        controllers: Vec<[Option<SubsystemControllers>; 2]>,
-    ) -> Self {
-        Self { env, controllers }
-    }
-
     /// Trains the per-subsystem controllers for `core` under `env` by
     /// querying the exhaustive oracle on randomly sampled sensed inputs
     /// (heat-sink temperature, activity, exercise rate, core frequency).
@@ -154,49 +142,7 @@ impl FuzzyOptimizer {
         tracer: eval_trace::Tracer<'_>,
     ) -> Self {
         let _span = tracer.span("train");
-        let oracle = ExhaustiveOptimizer::new();
-        let core = chip.core(core_index);
-        let pe_budget = config.constraints.pe_budget_per_subsystem(N_SUBSYSTEMS);
-        let mut rng = ChaCha12Rng::seed_from_u64(budget.seed ^ chip.seed());
-
-        let mut controllers = Vec::with_capacity(N_SUBSYSTEMS);
-        for id in SubsystemId::ALL {
-            let state = core.subsystem(id);
-            let variants: &[bool] = if teacher::has_variant(id) && (env.fu_replication || env.queue)
-            {
-                &[false, true]
-            } else {
-                &[false]
-            };
-            let mut slot: [Option<SubsystemControllers>; 2] = [None, None];
-            for &alt in variants {
-                let vsel = teacher::variant_selection_for(id, alt);
-                let ex = teacher::sample_bank(
-                    &oracle,
-                    config,
-                    state,
-                    vsel,
-                    env,
-                    pe_budget,
-                    budget.examples,
-                    &mut rng,
-                );
-                let (bank, freq_rms) = train_bank(&ex, budget, id, tracer.enabled());
-                tracer.count(eval_trace::names::FUZZY_CONTROLLERS_TRAINED);
-                tracer.event(|| eval_trace::Event::ControllerTrained {
-                    subsystem: id.to_string(),
-                    variant: if alt { "alt" } else { "normal" },
-                    examples: budget.examples as u64,
-                    freq_rms,
-                });
-                slot[alt as usize] = Some(bank);
-            }
-            controllers.push(slot);
-        }
-        // Metrics only (never golden event lines): oracle cache counters
-        // accumulated across the whole training sweep.
-        oracle.flush_metrics(tracer);
-        Self { env, controllers }
+        teacher_sweep(config, chip, core_index, env, budget, tracer, |_, _, _| {})
     }
 
     /// The environment these controllers were trained for.
@@ -214,6 +160,69 @@ impl FuzzyOptimizer {
             // every subsystem id before FuzzyOptimizer is handed out.
             .expect("controller trained for every subsystem")
     }
+}
+
+/// The offline teacher sweep behind [`FuzzyOptimizer::train_traced`] and
+/// [`ControllerZoo::train_traced`](crate::ControllerZoo::train_traced):
+/// one RNG stream seeded from the budget and the chip, one exhaustive
+/// oracle, and one teacher example set per (subsystem, variant) bank in
+/// [`SubsystemId::ALL`] order. Each bank's fuzzy controllers are trained
+/// and traced (a `fuzzy.controllers_trained` count and a
+/// `ControllerTrained` event); `per_bank` then sees the same examples,
+/// which is how the zoo trains its learned families from the identical
+/// curriculum.
+pub(crate) fn teacher_sweep(
+    config: &EvalConfig,
+    chip: &ChipModel,
+    core_index: usize,
+    env: Environment,
+    budget: &TrainingBudget,
+    tracer: eval_trace::Tracer<'_>,
+    mut per_bank: impl FnMut(SubsystemId, bool, &TeacherExamples),
+) -> FuzzyOptimizer {
+    let oracle = ExhaustiveOptimizer::new();
+    let core = chip.core(core_index);
+    let pe_budget = config.constraints.pe_budget_per_subsystem(N_SUBSYSTEMS);
+    let mut rng = ChaCha12Rng::seed_from_u64(budget.seed ^ chip.seed());
+
+    let mut controllers = Vec::with_capacity(N_SUBSYSTEMS);
+    for id in SubsystemId::ALL {
+        let state = core.subsystem(id);
+        let variants: &[bool] = if teacher::has_variant(id) && (env.fu_replication || env.queue) {
+            &[false, true]
+        } else {
+            &[false]
+        };
+        let mut slot: [Option<SubsystemControllers>; 2] = [None, None];
+        for &alt in variants {
+            let vsel = teacher::variant_selection_for(id, alt);
+            let ex = teacher::sample_bank(
+                &oracle,
+                config,
+                state,
+                vsel,
+                env,
+                pe_budget,
+                budget.examples,
+                &mut rng,
+            );
+            let (bank, freq_rms) = train_bank(&ex, budget, id, tracer.enabled());
+            tracer.count(eval_trace::names::FUZZY_CONTROLLERS_TRAINED);
+            tracer.event(|| eval_trace::Event::ControllerTrained {
+                subsystem: id.to_string(),
+                variant: if alt { "alt" } else { "normal" },
+                examples: budget.examples as u64,
+                freq_rms,
+            });
+            slot[alt as usize] = Some(bank);
+            per_bank(id, alt, &ex);
+        }
+        controllers.push(slot);
+    }
+    // Metrics only (never golden event lines): oracle cache counters
+    // accumulated across the whole training sweep.
+    oracle.flush_metrics(tracer);
+    FuzzyOptimizer { env, controllers }
 }
 
 impl Optimizer for FuzzyOptimizer {

@@ -15,8 +15,7 @@
 //! every family sees an identical curriculum and the fuzzy controllers
 //! stay bit-identical to [`FuzzyOptimizer::train_traced`].
 
-use eval_core::{ChipModel, Environment, EvalConfig, CoreModel, SubsystemId, N_SUBSYSTEMS};
-use eval_rng::ChaCha12Rng;
+use eval_core::{ChipModel, Environment, EvalConfig, CoreModel, N_SUBSYSTEMS};
 use eval_trace::Tracer;
 use eval_uarch::profile::PhaseProfile;
 use eval_uarch::WorkloadClass;
@@ -26,7 +25,6 @@ use crate::exhaustive::ExhaustiveOptimizer;
 use crate::fuzzy_ctl::{self, FuzzyOptimizer, TrainingBudget};
 use crate::learned::{LearnedBank, LearnedOptimizer, MlpQ16, NnTable, RegressionTree};
 use crate::optimizer::Optimizer;
-use crate::teacher;
 
 /// A per-phase operating-point decision maker: the scheme label it
 /// traces under, the optimizer backend it consults, and the heat-sink
@@ -176,11 +174,11 @@ impl ControllerZoo {
     }
 
     /// Trains all four families for `core` under `env`. The teacher
-    /// sweep (RNG stream, oracle queries, bank order) is exactly the
-    /// one [`FuzzyOptimizer::train_traced`] runs, so the fuzzy member
-    /// is bit-identical to a standalone fuzzy training at the same
-    /// budget; the learned families train from the same examples with
-    /// per-family seeds. Emits the fuzzy trainer's
+    /// sweep (RNG stream, oracle queries, bank order) is the same
+    /// function [`FuzzyOptimizer::train_traced`] runs, so the fuzzy
+    /// member is bit-identical to a standalone fuzzy training at the
+    /// same budget; the learned families train from the same examples
+    /// with per-bank seeds. Emits the fuzzy trainer's
     /// `ControllerTrained` events plus a `controller.zoo.trained`
     /// count of 3 learned banks per (subsystem, variant).
     pub fn train_traced(
@@ -192,82 +190,48 @@ impl ControllerZoo {
         tracer: Tracer<'_>,
     ) -> Self {
         let _span = tracer.span("train-zoo");
-        let oracle = ExhaustiveOptimizer::new();
-        let core = chip.core(core_index);
-        let pe_budget = config.constraints.pe_budget_per_subsystem(N_SUBSYSTEMS);
-        let mut rng = ChaCha12Rng::seed_from_u64(budget.seed ^ chip.seed());
-
-        let mut fuzzy_banks = Vec::with_capacity(N_SUBSYSTEMS);
-        let mut nn_banks: Vec<[Option<LearnedBank<NnTable>>; 2]> =
-            Vec::with_capacity(N_SUBSYSTEMS);
-        let mut tree_banks: Vec<[Option<LearnedBank<RegressionTree>>; 2]> =
-            Vec::with_capacity(N_SUBSYSTEMS);
-        let mut mlp_banks: Vec<[Option<LearnedBank<MlpQ16>>; 2]> =
-            Vec::with_capacity(N_SUBSYSTEMS);
-        for id in SubsystemId::ALL {
-            let state = core.subsystem(id);
-            let variants: &[bool] = if teacher::has_variant(id) && (env.fu_replication || env.queue)
-            {
-                &[false, true]
-            } else {
-                &[false]
-            };
-            let mut fz: [Option<_>; 2] = [None, None];
-            let mut nn: [Option<_>; 2] = [None, None];
-            let mut tr: [Option<_>; 2] = [None, None];
-            let mut ml: [Option<_>; 2] = [None, None];
-            for &alt in variants {
-                let vsel = teacher::variant_selection_for(id, alt);
-                let ex = teacher::sample_bank(
-                    &oracle,
-                    config,
-                    state,
-                    vsel,
-                    env,
-                    pe_budget,
-                    budget.examples,
-                    &mut rng,
-                );
-                let (bank, freq_rms) = fuzzy_ctl::train_bank(&ex, budget, id, tracer.enabled());
-                tracer.count(eval_trace::names::FUZZY_CONTROLLERS_TRAINED);
-                tracer.event(|| eval_trace::Event::ControllerTrained {
-                    subsystem: id.to_string(),
-                    variant: if alt { "alt" } else { "normal" },
-                    examples: budget.examples as u64,
-                    freq_rms,
-                });
-                fz[alt as usize] = Some(bank);
+        let mut nn = empty_banks();
+        let mut tree = empty_banks();
+        let mut mlp = empty_banks();
+        let fuzzy = fuzzy_ctl::teacher_sweep(
+            config,
+            chip,
+            core_index,
+            env,
+            budget,
+            tracer,
+            |id, alt, ex| {
                 // The learned families train from the same teacher
                 // examples with a per-bank seed (models with no
                 // stochastic training ignore it).
                 let seed = budget.seed ^ ((id.index() as u64) << 8) ^ ((alt as u64) << 16);
-                nn[alt as usize] = Some(LearnedBank::train(&ex, seed));
-                tr[alt as usize] = Some(LearnedBank::train(&ex, seed));
-                ml[alt as usize] = Some(LearnedBank::train(&ex, seed));
+                nn[id.index()][alt as usize] = Some(LearnedBank::train(ex, seed));
+                tree[id.index()][alt as usize] = Some(LearnedBank::train(ex, seed));
+                mlp[id.index()][alt as usize] = Some(LearnedBank::train(ex, seed));
                 tracer.count_n(eval_trace::names::CONTROLLER_ZOO_TRAINED, 3);
-            }
-            fuzzy_banks.push(fz);
-            nn_banks.push(nn);
-            tree_banks.push(tr);
-            mlp_banks.push(ml);
-        }
-        // Metrics only (never golden event lines): oracle cache counters
-        // accumulated across the whole training sweep.
-        oracle.flush_metrics(tracer);
+            },
+        );
         Self {
-            fuzzy: FuzzyOptimizer::from_banks(env, fuzzy_banks),
-            nn: LearnedOptimizer::from_banks(env, nn_banks),
-            tree: LearnedOptimizer::from_banks(env, tree_banks),
-            mlp: LearnedOptimizer::from_banks(env, mlp_banks),
+            fuzzy,
+            nn: LearnedOptimizer::from_banks(env, nn),
+            tree: LearnedOptimizer::from_banks(env, tree),
+            mlp: LearnedOptimizer::from_banks(env, mlp),
         }
     }
+}
+
+/// One untrained `[normal, alt]` slot pair per subsystem.
+fn empty_banks<M>() -> Vec<[Option<LearnedBank<M>>; 2]> {
+    (0..N_SUBSYSTEMS).map(|_| [None, None]).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fuzzy_ctl::TrainingBudget;
-    use eval_core::{ChipFactory, FREQ_LADDER, VariantSelection, VBB_LADDER, VDD_LADDER};
+    use eval_core::{
+        ChipFactory, SubsystemId, FREQ_LADDER, VariantSelection, VBB_LADDER, VDD_LADDER,
+    };
     use eval_fuzzy::TrainingConfig;
     use crate::optimizer::SubsystemScene;
     use eval_uarch::{profile_workload, Workload};

@@ -132,12 +132,11 @@ fn scene<'a>(config: &EvalConfig, chip: &'a ChipModel, id: SubsystemId) -> Subsy
     }
 }
 
-fn small_campaign(intra_chip_threads: usize) {
+fn small_campaign() {
     let mut campaign = Campaign::new(2);
     campaign.profile_budget = 3_000;
     campaign.workloads = vec![Workload::by_name("gzip").expect("workload exists")];
     campaign.threads = 1;
-    campaign.intra_chip_threads = intra_chip_threads;
     black_box(
         campaign
             .run(&[Environment::TS_ASV], &[Scheme::ExhDyn])
@@ -153,7 +152,6 @@ fn small_campaign_traced(tracer: eval_trace::Tracer<'_>) {
     campaign.profile_budget = 3_000;
     campaign.workloads = vec![Workload::by_name("gzip").expect("workload exists")];
     campaign.threads = 1;
-    campaign.intra_chip_threads = 1;
     black_box(
         campaign
             .run_traced(&[Environment::TS_ASV], &[Scheme::ExhDyn], tracer)
@@ -212,10 +210,6 @@ fn campaign_metrics(
         (names::SOLVER_BATCH_CALLS, batch_calls as f64),
         (names::SOLVER_BATCH_LANES, batch_lanes as f64),
         (names::DECISION_COUNT, registry.counter(names::DECISION_COUNT) as f64),
-        (
-            names::CAMPAIGN_INTRA_CHIP_THREADS,
-            campaign.intra_chip_threads as f64,
-        ),
     ];
     if hits + misses > 0 {
         let lookups = (hits + misses) as f64;
@@ -440,15 +434,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     rows.push(Row::new(
         "campaign_exhdyn_2chips",
-        time_samples(|| small_campaign(1), 1, n(3)),
-        None,
-    ));
-
-    // The same campaign with the intra-chip unit sweep split across all
-    // available cores (identical results and traces by construction).
-    rows.push(Row::new(
-        "campaign_exhdyn_2chips_par",
-        time_samples(|| small_campaign(0), 1, n(3)),
+        time_samples(small_campaign, 1, n(3)),
         None,
     ));
 

@@ -1,8 +1,8 @@
 //! # eval-bench
 //!
 //! Experiment drivers for the EVAL reproduction: one binary per table or
-//! figure of the paper's evaluation (§6), plus Criterion micro-benchmarks
-//! of the building blocks.
+//! figure of the paper's evaluation (§6), plus the self-timed `hotpath`
+//! bench of the building blocks.
 //!
 //! | Binary | Reproduces |
 //! |---|---|
@@ -11,12 +11,10 @@
 //! | `fig8` | Figure 8: subsystem `PE` and processor `Perf` vs `f` |
 //! | `fig9` | Figure 9: power vs error rate vs frequency/performance |
 //! | `fig10` | Figure 10: relative frequency per environment |
-//! | `fig11` | Figure 11: relative performance per environment |
-//! | `fig12` | Figure 12: power per environment |
 //! | `fig13` | Figure 13: controller outcome mix |
 //! | `table2` | Table 2: fuzzy-vs-exhaustive selection error |
 //! | `headline` | §6 headline numbers, paper vs measured |
-//! | `figures` | Figures 10–12 from one shared campaign |
+//! | `figures` | Figures 10–12 (frequency, performance, power) from one campaign |
 //! | `breakdown` | per-workload detail behind the averages |
 //! | `retiming` | §7 baseline: EVAL vs ReCycle-style time borrowing |
 //! | `ablation` | σ/μ, φ, rule-count and DVFS-granularity sensitivity |

@@ -36,7 +36,7 @@ pub fn context_for(rel: &Path) -> Option<FileContext> {
         let dir = *parts.get(1)?;
         // The linter itself and the offline stand-ins for crates.io
         // packages are out of scope.
-        if ["lint", "proptest", "criterion"].contains(&dir) {
+        if ["lint", "proptest"].contains(&dir) {
             return None;
         }
         format!("eval-{dir}")

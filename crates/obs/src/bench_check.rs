@@ -365,6 +365,10 @@ pub struct CheckReport {
     pub fresh_samples: BTreeMap<String, Vec<f64>>,
     /// The fresh file's provenance stamp, carried for the history line.
     pub fresh_provenance: Option<Provenance>,
+    /// `(baseline, fresh)` hosts when both files are stamped and the
+    /// hosts differ: the baseline's samples then cannot gate, so rows
+    /// without same-host history fall back to the legacy ratio gate.
+    pub host_mismatch: Option<(String, String)>,
 }
 
 impl CheckReport {
@@ -376,6 +380,13 @@ impl CheckReport {
     /// Human-readable verdict table.
     pub fn render_text(&self) -> String {
         let mut out = String::new();
+        if let Some((baseline, fresh)) = &self.host_mismatch {
+            let _ = writeln!(
+                out,
+                "# WARNING: baseline host {baseline} differs from fresh host {fresh}; \
+                 rows without same-host history use the legacy ratio gate"
+            );
+        }
         let _ = writeln!(
             out,
             "{:<28} {:>14} {:>14} {:>8} {:>7} {:>18} {:>12} {:>6}",
@@ -550,17 +561,13 @@ pub fn check_distribution(
         return check(baseline, fresh, &opts.tolerances);
     }
     let fresh_host = fresh.provenance.as_ref().map(|p| p.host.as_str());
-    let baseline_host = baseline.provenance.as_ref().map(|p| p.host.as_str());
     // A baseline recorded on another machine is not a comparison
     // population: its sample distribution encodes that machine's
     // timings, so quantile-gating against it would flag every
     // cross-machine difference. Only a *known, differing* host pair
     // disqualifies — unstamped files (tests, hand-built fixtures) are
     // assumed local.
-    let cross_machine_baseline = matches!(
-        (baseline_host, fresh_host),
-        (Some(b), Some(f)) if b != f
-    );
+    let cross_machine_baseline = host_mismatch(baseline, fresh).is_some();
     let mut report = CheckReport::default();
     for (name, &baseline_ns) in &baseline.benches {
         let fresh_ns = fresh.benches.get(name).copied();
@@ -716,6 +723,14 @@ fn finish_report(report: &mut CheckReport, baseline: &BenchFile, fresh: &BenchFi
     }
     report.fresh_samples = fresh.samples.clone();
     report.fresh_provenance = fresh.provenance.clone();
+    report.host_mismatch = host_mismatch(baseline, fresh);
+}
+
+/// The `(baseline, fresh)` hosts when both files are stamped by
+/// different machines.
+fn host_mismatch(baseline: &BenchFile, fresh: &BenchFile) -> Option<(String, String)> {
+    let (b, f) = (baseline.provenance.as_ref()?, fresh.provenance.as_ref()?);
+    (b.host != f.host).then(|| (b.host.clone(), f.host.clone()))
 }
 
 /// Appends the comparison's history line to `path` (created when
@@ -970,6 +985,23 @@ mod tests {
         let history = history_for("a", 1000.0, "host-2", 3);
         let report = check_distribution(&baseline, &fresh, &history, &opts);
         assert_eq!(report.rows[0].mode, GateMode::QuantileHistory);
+    }
+
+    #[test]
+    fn differing_hosts_print_one_warning_line() {
+        let baseline = v2_file("a", 1000.0, "host-1");
+        let warnings = |fresh: &BenchFile| {
+            let text = check_distribution(&baseline, fresh, &[], &GateOptions::new()).render_text();
+            text.lines()
+                .filter(|l| l.starts_with("# WARNING"))
+                .map(str::to_string)
+                .collect::<Vec<_>>()
+        };
+        let foreign = warnings(&v2_file("a", 1000.0, "host-2"));
+        assert_eq!(foreign.len(), 1, "{foreign:?}");
+        assert!(foreign[0].contains("host-1") && foreign[0].contains("host-2"));
+        assert!(foreign[0].contains("legacy"));
+        assert!(warnings(&v2_file("a", 1000.0, "host-1")).is_empty());
     }
 
     #[test]

@@ -19,9 +19,9 @@
 //!
 //! A sidecar that crashed before its tail was written still profiles:
 //! the per-path statistics are rebuilt from the streamed samples and
-//! the report says so. Workers sharing one sidecar
-//! (`intra_chip_threads`) need no special handling — their samples
-//! interleave in the stream and aggregate per path here.
+//! the report says so. Chip workers sharing one sidecar need no special
+//! handling — their samples interleave in the stream and aggregate per
+//! path here.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

@@ -111,10 +111,6 @@ pub const SOLVER_BATCH_LANES: &str = "solver.batch.lanes";
 /// Derived mean batch width (lanes per batched lookup), written into
 /// bench JSON by the `hotpath` bin.
 pub const SOLVER_BATCH_WIDTH: &str = "solver.batch.width";
-/// Worker threads used inside each chip's exhaustive sweep (gauge,
-/// written into bench JSON by the `hotpath` bin; execution detail only —
-/// results and traces are bit-identical across any setting).
-pub const CAMPAIGN_INTRA_CHIP_THREADS: &str = "campaign.intra_chip_threads";
 
 /// Ladder probes evaluated by the retuning loop (counter).
 pub const RETUNE_PROBES: &str = "retune.probes";
@@ -192,7 +188,6 @@ pub const ALL_METRICS: &[&str] = &[
     SOLVER_BATCH_CALLS,
     SOLVER_BATCH_LANES,
     SOLVER_BATCH_WIDTH,
-    CAMPAIGN_INTRA_CHIP_THREADS,
     RETUNE_PROBES,
     FUZZY_MATRICES_TRAINED,
     FUZZY_CONTROLLERS_TRAINED,

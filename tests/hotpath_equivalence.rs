@@ -203,30 +203,6 @@ fn query_order_does_not_change_cached_answers() {
     assert_eq!(forward, sweep(&interleaved), "interleaved order changed answers");
 }
 
-/// Splitting one chip's sweep across intra-chip worker threads returns
-/// a `CampaignResult` that is bit-identical to the serial sweep, for
-/// any worker count: the per-cell units are merged in the serial loop
-/// nest's order, so every f64 accumulation happens in the same
-/// sequence.
-#[test]
-fn intra_chip_parallel_sweep_is_bit_identical_to_serial() {
-    let mut serial = Campaign::new(2);
-    serial.profile_budget = 2_000;
-    serial.workloads = vec![Workload::by_name("gzip").expect("workload exists")];
-    serial.cores_per_chip = 2;
-    serial.threads = 1;
-    serial.intra_chip_threads = 1;
-    let envs = [Environment::TS, Environment::TS_ABB_ASV];
-    let schemes = [Scheme::Static, Scheme::ExhDyn];
-    let base = serial.run(&envs, &schemes).expect("serial campaign runs");
-    for workers in [2usize, 3, 0] {
-        let mut par = serial.clone();
-        par.intra_chip_threads = workers;
-        let r = par.run(&envs, &schemes).expect("parallel campaign runs");
-        assert_eq!(base, r, "results drifted at {workers} intra-chip workers");
-    }
-}
-
 mod proptests {
     use super::*;
     use proptest::prelude::*;
@@ -263,6 +239,93 @@ mod proptests {
                     "fast {} vs reference {}", fast.t_c, reference.t_c
                 );
                 prop_assert!((fast.total_w() - reference.total_w()).abs() < 1e-4);
+            }
+        }
+    }
+
+    /// Largest ladder frequency feasible at *any* `(Vdd, Vbb)` pair, by
+    /// checking every grid point with the uncached reference check: no
+    /// bisection, no hint, no pruning, and no prefix assumption.
+    fn freq_max_by_full_scan(cfg: &EvalConfig, sc: &SubsystemScene<'_>) -> f64 {
+        let mut best = 0;
+        for &vdd in sc.vdd_options() {
+            for &vbb in sc.vbb_options() {
+                for i in 0..FREQ_LADDER.len() {
+                    if i > best
+                        && sc
+                            .check_reference(cfg, FREQ_LADDER.at(i), vdd, vbb)
+                            .is_some()
+                    {
+                        best = i;
+                    }
+                }
+            }
+        }
+        FREQ_LADDER.at(best)
+    }
+
+    /// The lowest-power feasible `(Vdd, Vbb)` at ladder index `f_idx`,
+    /// checking every pair one at a time on a fresh cache (first minimum
+    /// in `Vdd`-major order; nominal when nothing is feasible).
+    fn power_settings_by_full_grid(
+        cfg: &EvalConfig,
+        sc: &SubsystemScene<'_>,
+        f_idx: usize,
+    ) -> (f64, f64) {
+        let eval = SceneEval::new(cfg, sc);
+        let mut cache = SolveCache::new();
+        let mut best: Option<(f64, f64, f64)> = None;
+        for &vdd in sc.vdd_options() {
+            for &vbb in sc.vbb_options() {
+                if let Some((p, _)) = eval.check_at(&mut cache, f_idx, vdd, vbb) {
+                    if best.is_none_or(|(bp, _, _)| p < bp) {
+                        best = Some((p, vdd, vbb));
+                    }
+                }
+            }
+        }
+        best.map_or((1.0, 0.0), |(_, vdd, vbb)| (vdd, vbb))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The exhaustive optimizer's pruned, hinted, batched search
+        /// agrees with brute-force oracles over random scenes in every
+        /// Figure 10 environment (ABB and ALL included).
+        #[test]
+        fn prop_exhaustive_matches_brute_force_oracles_in_every_environment(
+            chip_seed in 1u64..64,
+            sub in 0usize..N_SUBSYSTEMS,
+            th in 45.0f64..68.0,
+            alpha in 0.05f64..0.95,
+            rho in 0.2f64..1.0,
+            f_idx in 0usize..FREQ_LADDER.len(),
+        ) {
+            let cfg = factory().config().clone();
+            let chip = factory().chip(chip_seed);
+            let id = SubsystemId::ALL[sub];
+            for env in Environment::FIGURE10 {
+                let sc = SubsystemScene {
+                    state: chip.core(0).subsystem(id),
+                    variants: VariantSelection::default(),
+                    th_c: th,
+                    alpha_f: alpha,
+                    rho,
+                    pe_budget: 1e-4 / N_SUBSYSTEMS as f64,
+                    env,
+                };
+                let opt = ExhaustiveOptimizer::new();
+                prop_assert_eq!(
+                    opt.freq_max(&cfg, &sc),
+                    freq_max_by_full_scan(&cfg, &sc),
+                    "freq_max: chip {} {} {}", chip_seed, id, env.name
+                );
+                prop_assert_eq!(
+                    opt.power_settings(&cfg, &sc, FREQ_LADDER.at(f_idx)),
+                    power_settings_by_full_grid(&cfg, &sc, f_idx),
+                    "power_settings: chip {} {} {} f_idx {}", chip_seed, id, env.name, f_idx
+                );
             }
         }
     }

@@ -74,50 +74,6 @@ fn progress_sink_heartbeat_interval_does_not_affect_the_stream() {
     assert_eq!(fast.into_inner().jsonl(), slow.into_inner().jsonl());
 }
 
-/// The deterministic part of the traced JSONL stream — every event line
-/// and every non-timing metric line — must not depend on how many
-/// worker threads split each chip's sweep: per-unit buffers replay in
-/// unit order into the chip buffer, so the bytes match the serial run
-/// exactly. (Span lines and `*_us` latency histograms are wall-clock by
-/// contract and are excluded, as they vary even between serial runs.)
-#[test]
-fn intra_chip_threads_keep_the_jsonl_stream_bit_identical() {
-    let collect = |workers: usize| -> Vec<String> {
-        let mut campaign = small_campaign();
-        campaign.intra_chip_threads = workers;
-        let collector = Collector::new();
-        campaign
-            .run_traced(
-                &[Environment::TS_ASV, Environment::TS],
-                &[Scheme::ExhDyn, Scheme::Static],
-                Tracer::new(&collector),
-            )
-            .expect("campaign runs");
-        collector
-            .jsonl()
-            .lines()
-            .filter(|l| !l.contains("\"kind\":\"span\"") && !l.contains("\"timing\":true"))
-            .map(str::to_string)
-            .collect()
-    };
-    let serial = collect(1);
-    assert!(
-        serial.iter().any(|l| l.contains("chip-start")),
-        "trace looks wrong: {serial:?}"
-    );
-    assert!(
-        serial.iter().any(|l| l.contains("solver.cache.hits")),
-        "cache accounting missing: {serial:?}"
-    );
-    for workers in [2usize, 0] {
-        assert_eq!(
-            serial,
-            collect(workers),
-            "trace bytes drifted at {workers} intra-chip workers"
-        );
-    }
-}
-
 /// The tentpole invariant behind `--timing`: attaching the wall-clock
 /// sidecar must not change the primary trace by a single byte. Spans
 /// and `*_us` latency observations route exclusively to the timing
