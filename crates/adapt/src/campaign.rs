@@ -1,13 +1,15 @@
 //! The experiment harness behind Figures 10–13: environments x adaptation
 //! schemes over a chip population and the 16-workload suite.
 
-use std::path::{Path, PathBuf};
 use std::cell::RefCell;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 use eval_trace::flight::render_postmortem;
 use eval_trace::provenance;
 use eval_trace::{
-    names, BufferSink, Event, FlightEntry, FlightRecorder, PostmortemHeader, Tracer,
+    names, BufferSink, Event, FlightEntry, FlightRecorder, PostmortemHeader, Record, Tracer,
 };
 use eval_units::GHz;
 
@@ -123,28 +125,6 @@ impl std::error::Error for CampaignError {
             | CampaignError::AllChipsFailed { .. } => None,
         }
     }
-}
-
-/// What happened to one chip of the Monte Carlo sweep.
-///
-/// A chip that diverges no longer aborts the campaign: it is quarantined
-/// as [`ChipOutcome::Failed`], excluded from the merged averages, and
-/// reported through [`CampaignResult::chips_failed`] plus the
-/// `campaign.chips_failed` counter.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ChipOutcome {
-    /// Every cell of the chip evaluated successfully.
-    Completed {
-        /// The chip's baseline reference cell.
-        baseline: CellResult,
-        /// One cell per requested (environment, scheme) pair.
-        cells: Vec<CellResult>,
-    },
-    /// The chip diverged and is quarantined from the merge.
-    Failed {
-        /// What went wrong on this chip.
-        error: CampaignError,
-    },
 }
 
 /// One quarantined chip, as reported by [`CampaignResult::chips_failed`].
@@ -335,8 +315,9 @@ impl Campaign {
     /// Returns [`CampaignError`] if the population is empty (see
     /// [`Campaign::run`]), if a reference operating point turns out to be
     /// thermally infeasible, or if *every* chip was quarantined.
-    /// Individual chip faults no longer abort the sweep — see
-    /// [`ChipOutcome`].
+    /// Individual chip faults no longer abort the sweep: a diverging chip
+    /// is quarantined, excluded from the merged averages, and reported
+    /// through [`CampaignResult::chips_failed`].
     pub fn run_traced(
         &self,
         envs: &[Environment],
@@ -404,7 +385,7 @@ impl Campaign {
         // records: this drops a torn final line and keeps every append
         // below landing on a clean line boundary.
         let resumed = self.load_resumable(envs, schemes, pairs.len(), ckpt)?;
-        let writer = match ckpt {
+        let mut writer = match ckpt {
             Some(opts) => {
                 let fp = checkpoint::fingerprint(self, envs, schemes);
                 let mut w = CheckpointWriter::create(&opts.path, fp, self.chips)
@@ -478,94 +459,67 @@ impl Campaign {
             fingerprint: checkpoint::fingerprint(self, envs, schemes),
         });
 
-        let threads = if self.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(self.chips)
-        } else {
-            self.threads.min(self.chips)
-        };
-        // Workers trace into per-chip buffers so the merged stream does not
-        // depend on thread interleaving; committed in chip order below.
-        let buffers: Vec<BufferSink> = (0..self.chips).map(|_| BufferSink::new()).collect();
-        // Chips are claimed one at a time off a shared atomic counter, so a
-        // slow chip never idles the other workers (static chunking would).
-        // Claim order affects scheduling only: each result lands in its
-        // chip's slot and commits in chip order, keeping the output
-        // bit-identical to a serial run.
-        let next_chip = std::sync::atomic::AtomicUsize::new(start_at);
-        let commit = std::sync::Mutex::new(CommitState {
-            frontier: start_at,
-            slots: prefill_slots(self.chips, resumed),
-            writer,
-            ckpt_error: None,
-        });
-        let worker_panicked: Vec<bool> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    let factory = &factory;
-                    let profiles = &profiles;
-                    let novar_perf = &novar_perf;
-                    let pairs = &pairs;
-                    let buffers = &buffers;
-                    let next_chip = &next_chip;
-                    let commit = &commit;
-                    let postmortem = &postmortem;
-                    scope.spawn(move || loop {
-                        let chip_idx =
-                            next_chip.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if chip_idx >= self.chips {
-                            break;
-                        }
-                        // Rebase the primary stream onto the chip's buffer
-                        // (deterministic replay) while spans keep streaming
-                        // to the shared timing sink, which tolerates worker
-                        // interleaving by construction.
-                        let chip_tracer = if tracer.enabled() {
-                            tracer.buffered(&buffers[chip_idx])
-                        } else {
-                            tracer.without_sink()
-                        };
-                        let outcome = self.run_one_chip(
-                            factory,
-                            chip_idx,
-                            pairs,
-                            profiles,
-                            novar_perf,
-                            chip_tracer,
-                            postmortem.as_ref(),
-                        );
-                        // Commit under one lock: store the slot, then
-                        // advance the frontier over every contiguously
-                        // finished chip — replaying its buffer (which
-                        // flushes a streaming sink) *before* appending its
-                        // checkpoint record, so the on-disk trace is never
-                        // behind the sidecar.
-                        {
-                            let mut guard =
-                                commit.lock().unwrap_or_else(|e| e.into_inner());
-                            guard.slots[chip_idx] = Some(CommittedChip::from(outcome));
-                            guard.advance(self, buffers, tracer);
-                        }
-                        // Live progress signal on the *outer* sink: counter
-                        // adds commute, so the end-of-run snapshot is
-                        // independent of worker interleaving and the golden
-                        // event lines are untouched.
-                        tracer.count(names::CAMPAIGN_CHIPS_DONE);
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().is_err()).collect()
-        });
-        if worker_panicked.into_iter().any(|p| p) {
+        // Resumed chips are already committed; the frontier starts past
+        // them. The first sidecar-append failure is surfaced after the
+        // sweep, so the in-flight chips finish cleanly.
+        let mut outcomes: Vec<RecordedOutcome> = resumed.into_iter().map(|r| r.outcome).collect();
+        let mut ckpt_error: Option<CheckpointError> = None;
+        let scheduled = fan_out(
+            self.chips,
+            start_at,
+            self.threads,
+            tracer,
+            |chip_idx, chip_tracer| {
+                let outcome = self.run_one_chip(
+                    &factory,
+                    chip_idx,
+                    &pairs,
+                    &profiles,
+                    &novar_perf,
+                    chip_tracer,
+                    postmortem.as_ref(),
+                );
+                // Live progress signal on the *outer* sink: counter adds
+                // commute, so the end-of-run snapshot is independent of
+                // worker interleaving and the golden event lines are
+                // untouched.
+                tracer.count(names::CAMPAIGN_CHIPS_DONE);
+                outcome
+            },
+            |chip_idx, outcome, records| {
+                // Replay the chip's buffer (which flushes a streaming
+                // sink) *before* appending its checkpoint record: a chip
+                // in the sidecar is always complete in the trace.
+                let metrics = if writer.is_some() {
+                    capture_metrics(&records)
+                } else {
+                    checkpoint::CapturedMetrics::default()
+                };
+                tracer.replay(records);
+                if matches!(outcome, RecordedOutcome::Failed { .. }) {
+                    tracer.count(names::CAMPAIGN_CHIPS_FAILED);
+                }
+                let rec = ChipRecord {
+                    chip: chip_idx,
+                    seed: self.chip_seed(chip_idx),
+                    outcome,
+                    metrics,
+                };
+                if let Some(writer) = writer.as_mut() {
+                    if let Err(err) = writer.append(&rec) {
+                        ckpt_error.get_or_insert(err);
+                    }
+                }
+                outcomes.push(rec.outcome);
+            },
+        );
+        if scheduled.is_err() {
             return Err(CampaignError::Internal("worker thread panicked"));
         }
-        let state = commit.into_inner().unwrap_or_else(|e| e.into_inner());
-        if let Some(err) = state.ckpt_error {
+        if let Some(err) = ckpt_error {
             return Err(CampaignError::Checkpoint(err));
         }
-        if state.frontier != self.chips {
+        if outcomes.len() != self.chips {
             return Err(CampaignError::Internal("chips left uncommitted"));
         }
 
@@ -576,9 +530,9 @@ impl Campaign {
             .collect();
         let mut chips_failed: Vec<ChipFailure> = Vec::new();
         let mut ok_chips = 0usize;
-        for (chip_idx, slot) in state.slots.into_iter().enumerate() {
-            match slot.ok_or(CampaignError::Internal("chip slot left uncomputed"))? {
-                CommittedChip::Ok {
+        for (chip_idx, outcome) in outcomes.into_iter().enumerate() {
+            match outcome {
+                RecordedOutcome::Ok {
                     baseline: chip_baseline,
                     cells: chip_cells,
                 } => {
@@ -588,7 +542,7 @@ impl Campaign {
                     }
                     ok_chips += 1;
                 }
-                CommittedChip::Failed { error } => chips_failed.push(ChipFailure {
+                RecordedOutcome::Failed { error } => chips_failed.push(ChipFailure {
                     chip: chip_idx,
                     error,
                 }),
@@ -671,7 +625,7 @@ impl Campaign {
     }
 
     /// All measurements for one chip, with fault isolation: any error is
-    /// quarantined into [`ChipOutcome::Failed`] so the rest of the sweep
+    /// quarantined into [`RecordedOutcome::Failed`] so the rest of the sweep
     /// continues. The injected [`Campaign::fail_chip`] fault fires before
     /// any trace output, so a quarantined chip can leave an empty buffer.
     ///
@@ -688,7 +642,7 @@ impl Campaign {
         novar_perf: &[f64],
         tracer: Tracer<'_>,
         postmortem: Option<&PostmortemSink<'_>>,
-    ) -> ChipOutcome {
+    ) -> RecordedOutcome {
         let recorder =
             postmortem.map(|_| RefCell::new(FlightRecorder::new(self.flight_recorder_capacity)));
         if self.fail_chip == Some(chip_idx) {
@@ -711,7 +665,9 @@ impl Campaign {
                 );
                 sink.dump(self, chip_idx, &error, recorder, tracer);
             }
-            return ChipOutcome::Failed { error };
+            return RecordedOutcome::Failed {
+                error: error.to_string(),
+            };
         }
         match self.run_one_chip_inner(
             factory,
@@ -722,12 +678,14 @@ impl Campaign {
             tracer,
             recorder.as_ref(),
         ) {
-            Ok((baseline, cells)) => ChipOutcome::Completed { baseline, cells },
+            Ok((baseline, cells)) => RecordedOutcome::Ok { baseline, cells },
             Err(error) => {
                 if let (Some(sink), Some(recorder)) = (postmortem, recorder.as_ref()) {
                     sink.dump(self, chip_idx, &error, recorder, tracer);
                 }
-                ChipOutcome::Failed { error }
+                RecordedOutcome::Failed {
+                    error: error.to_string(),
+                }
             }
         }
     }
@@ -1203,112 +1161,79 @@ impl PostmortemSink<'_> {
     }
 }
 
-/// A chip that has passed the commit frontier: its trace records are in
-/// the caller's sink and (when checkpointing) its sidecar record is on
-/// disk. Kept until the end-of-run merge.
-#[derive(Debug, Clone)]
-enum CommittedChip {
-    Ok {
-        baseline: CellResult,
-        cells: Vec<CellResult>,
-    },
-    Failed {
-        error: String,
-    },
-}
-
-impl From<ChipOutcome> for CommittedChip {
-    fn from(outcome: ChipOutcome) -> Self {
-        match outcome {
-            ChipOutcome::Completed { baseline, cells } => CommittedChip::Ok { baseline, cells },
-            ChipOutcome::Failed { error } => CommittedChip::Failed {
-                error: error.to_string(),
-            },
+/// The chip scheduler shared by the campaign and the tournament: runs
+/// `work(i, tracer)` for every chip `i` in `start_at..n` on up to
+/// `threads` scoped workers (0 = all cores).
+///
+/// Workers claim chips one at a time off a shared atomic counter, so a
+/// slow chip never idles the others (static chunking would). Each chip
+/// traces into its own [`BufferSink`] while timing records keep
+/// streaming to the shared timing sink. Finished chips commit in chip
+/// order under one lock: `commit(i, result, records)` receives the
+/// chip's drained primary records and replays them, so the merged
+/// stream and every order-dependent merge are identical for any thread
+/// count and schedule. Claim order affects scheduling only.
+///
+/// # Errors
+///
+/// Returns the first worker panic's payload after every worker has
+/// stopped; chips from the panicked one onward are left uncommitted.
+pub(crate) fn fan_out<T: Send>(
+    n: usize,
+    start_at: usize,
+    threads: usize,
+    tracer: Tracer<'_>,
+    work: impl Fn(usize, Tracer<'_>) -> T + Sync,
+    commit: impl FnMut(usize, T, Vec<Record>) + Send,
+) -> std::thread::Result<()> {
+    struct Frontier<T, C> {
+        /// The next chip to commit; chips below it are committed.
+        next: usize,
+        finished: Vec<Option<T>>,
+        commit: C,
+    }
+    let workers = if threads == 0 {
+        std::thread::available_parallelism().map_or(1, |w| w.get())
+    } else {
+        threads
+    }
+    .min(n)
+    .max(1);
+    let buffers: Vec<BufferSink> = (0..n).map(|_| BufferSink::new()).collect();
+    let next_chip = AtomicUsize::new(start_at);
+    let frontier = Mutex::new(Frontier {
+        next: start_at,
+        finished: (0..n).map(|_| None).collect(),
+        commit,
+    });
+    let worker = || loop {
+        let chip = next_chip.fetch_add(1, Ordering::Relaxed);
+        if chip >= n {
+            break;
         }
-    }
-}
-
-impl From<&ChipRecord> for CommittedChip {
-    fn from(rec: &ChipRecord) -> Self {
-        match &rec.outcome {
-            RecordedOutcome::Ok { baseline, cells } => CommittedChip::Ok {
-                baseline: *baseline,
-                cells: cells.clone(),
-            },
-            RecordedOutcome::Failed { error } => CommittedChip::Failed {
-                error: error.clone(),
-            },
+        let chip_tracer = if tracer.enabled() {
+            tracer.buffered(&buffers[chip])
+        } else {
+            tracer.without_sink()
+        };
+        let result = work(chip, chip_tracer);
+        // A commit that panics leaves `next` at its own chip, so the
+        // frontier never commits past it and the state stays valid.
+        let mut guard = frontier.lock().unwrap_or_else(PoisonError::into_inner);
+        let f = &mut *guard;
+        f.finished[chip] = Some(result);
+        while let Some(result) = f.finished.get_mut(f.next).and_then(Option::take) {
+            (f.commit)(f.next, result, buffers[f.next].drain());
+            f.next += 1;
         }
-    }
-}
-
-/// Slots for every chip, with the resumed prefix pre-filled (those chips
-/// are already committed — the frontier starts past them).
-fn prefill_slots(chips: usize, resumed: Vec<ChipRecord>) -> Vec<Option<CommittedChip>> {
-    let mut slots: Vec<Option<CommittedChip>> = vec![None; chips];
-    for (slot, rec) in slots.iter_mut().zip(&resumed) {
-        *slot = Some(CommittedChip::from(rec));
-    }
-    slots
-}
-
-/// The in-order commit pipeline shared by all workers (behind one mutex).
-struct CommitState {
-    /// Index of the next chip to commit; chips below it are fully in the
-    /// sink (and the sidecar, when checkpointing).
-    frontier: usize,
-    slots: Vec<Option<CommittedChip>>,
-    writer: Option<CheckpointWriter>,
-    /// First sidecar-append failure; surfaced after the join so the
-    /// in-flight sweep finishes cleanly.
-    ckpt_error: Option<CheckpointError>,
-}
-
-impl CommitState {
-    /// Advances the frontier over every contiguously finished chip:
-    /// drains and replays its buffer (flushing a streaming sink), bumps
-    /// the quarantine counter for failed chips, and appends its
-    /// checkpoint record. Replay-before-append is the crash-safety
-    /// invariant: a chip in the sidecar is always complete in the trace.
-    fn advance(&mut self, campaign: &Campaign, buffers: &[BufferSink], tracer: Tracer<'_>) {
-        while self.frontier < self.slots.len() {
-            let chip_idx = self.frontier;
-            let Some(committed) = self.slots[chip_idx].as_ref() else {
-                break;
-            };
-            let records = buffers[chip_idx].drain();
-            let metrics = if self.writer.is_some() {
-                capture_metrics(&records)
-            } else {
-                checkpoint::CapturedMetrics::default()
-            };
-            tracer.replay(records);
-            let outcome = match committed {
-                CommittedChip::Ok { baseline, cells } => RecordedOutcome::Ok {
-                    baseline: *baseline,
-                    cells: cells.clone(),
-                },
-                CommittedChip::Failed { error } => {
-                    tracer.count(names::CAMPAIGN_CHIPS_FAILED);
-                    RecordedOutcome::Failed {
-                        error: error.clone(),
-                    }
-                }
-            };
-            if let Some(writer) = self.writer.as_mut() {
-                let rec = ChipRecord {
-                    chip: chip_idx,
-                    seed: campaign.chip_seed(chip_idx),
-                    outcome,
-                    metrics,
-                };
-                if let Err(err) = writer.append(&rec) {
-                    self.ckpt_error.get_or_insert(err);
-                }
-            }
-            self.frontier += 1;
-        }
-    }
+    };
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
+        handles
+            .into_iter()
+            .map(|h| h.join())
+            .fold(Ok(()), Result::and)
+    })
 }
 
 fn accumulate(acc: &mut CellResult, cell: &CellResult) {

@@ -13,7 +13,7 @@ use eval_trace::{names, DecisionEvent, Event, RejectedCandidate, Tracer};
 
 use crate::choice::{choose_fu, choose_queue};
 use crate::optimizer::{Optimizer, SubsystemScene};
-use crate::retune::{retune_traced, Outcome};
+use crate::retune::{retune, Outcome};
 
 /// The chosen configuration for one phase and its measured consequences.
 #[derive(Debug, Clone, PartialEq)]
@@ -282,7 +282,7 @@ pub fn decide_phase_traced(
         .collect();
 
     // --- retuning cycles ---
-    let result = retune_traced(
+    let result = retune(
         config, core, th_c, f_core, &settings, &alpha, &rho, &variants, tracer,
     );
 

@@ -510,6 +510,9 @@ impl PhaseModel for MlpQ16 {
         let m = self.inputs;
         // Inputs quantize once; everything below is integer arithmetic
         // (Q16.16 products accumulate in i64 as Q32.32, shifted back).
+        // The float-to-int cast saturates (NaN quantizes to 0) and the
+        // arithmetic saturates, so out-of-range inputs clamp instead of
+        // wrapping; in-range inputs never come near the i64 limits.
         let mut xq = [0i64; 16];
         for (q, v) in xq.iter_mut().zip(x) {
             *q = (v * Q16).round() as i64;
@@ -518,10 +521,10 @@ impl PhaseModel for MlpQ16 {
         for i in 0..MLP_HIDDEN {
             let mut acc = 0i64; // Q32.32
             for (w, q) in self.w1[i * m..(i + 1) * m].iter().zip(&xq) {
-                acc += i64::from(*w) * q;
+                acc = acc.saturating_add(i64::from(*w).saturating_mul(*q));
             }
-            let h = ((acc >> 16) + i64::from(self.b1[i])).max(0); // Q16.16
-            acc_out += i64::from(self.w2[i]) * h;
+            let h = (acc >> 16).saturating_add(i64::from(self.b1[i])).max(0); // Q16.16
+            acc_out = acc_out.saturating_add(i64::from(self.w2[i]).saturating_mul(h));
         }
         (acc_out >> 16) as f64 / Q16
     }

@@ -41,9 +41,7 @@ pub mod teacher;
 pub mod tournament;
 pub mod zoo;
 
-pub use campaign::{
-    Campaign, CampaignError, CampaignResult, CellResult, ChipFailure, ChipOutcome, Scheme,
-};
+pub use campaign::{Campaign, CampaignError, CampaignResult, CellResult, ChipFailure, Scheme};
 pub use checkpoint::{committed_chips, fingerprint, CheckpointError, CheckpointOptions};
 pub use choice::{choose_fu, choose_queue};
 pub use controller::{decide_phase, AdaptationTimeline, PhaseDecision};
@@ -57,4 +55,4 @@ pub use retune::{retune, Outcome, RetuneResult};
 pub use runtime::{AdaptiveSystem, RuntimeEvent, RuntimeStats};
 pub use teacher::{sample_bank, TeacherExamples};
 pub use tournament::{SchemeScore, Tournament, TournamentResult};
-pub use zoo::{Controller, ControllerZoo, OptimizerController, StaticController};
+pub use zoo::ControllerZoo;

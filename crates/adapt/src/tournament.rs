@@ -17,24 +17,50 @@
 //!   by controllers trained on a *different* chip (round-robin), so a
 //!   scheme that memorizes its own chip's variation map degrades here.
 //!
-//! Chips are scored in parallel with the campaign's determinism recipe:
-//! each chip traces into its own [`BufferSink`], buffers are replayed in
-//! chip order, so the primary trace is byte-identical for any thread
-//! count.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+//! Chips are scored in parallel by the campaign's scheduler
+//! ([`crate::campaign::fan_out`]): each chip traces into its own buffer
+//! and buffers commit in chip order, so the primary trace is
+//! byte-identical for any thread count.
 
 use eval_core::{ChipFactory, ChipModel, Environment, EvalConfig};
-use eval_trace::{names, BufferSink, Event, Tracer};
-use eval_uarch::{profile_workload, Workload, WorkloadProfile};
+use eval_trace::{names, Event, Tracer};
+use eval_uarch::{profile_workload, PhaseProfile, Workload, WorkloadProfile};
 
+use crate::campaign::fan_out;
+use crate::controller::{decide_phase_traced, DecisionContext};
 use crate::exhaustive::ExhaustiveOptimizer;
 use crate::fuzzy_ctl::TrainingBudget;
-use crate::zoo::{Controller, ControllerZoo, OptimizerController, StaticController};
+use crate::optimizer::Optimizer;
+use crate::zoo::ControllerZoo;
 
 /// Contestant scheme labels, in fixed scoring and emission order.
 pub const SCHEMES: [&str; 6] = ["static", "exhaustive", "fuzzy", "nn-table", "tree", "mlp"];
+
+/// One contestant: its scheme label, the optimizer it consults, and the
+/// heat-sink temperature it provisions for, °C.
+pub type Contestant<'a> = (&'static str, &'a dyn Optimizer, f64);
+
+/// The six contestants in [`SCHEMES`] order. Every learned scheme decides
+/// at the sensed temperature (`config.th_c`); the static scheme is the
+/// exhaustive oracle provisioned for the hottest heat sink the spec
+/// allows (`TH_MAX`), because a fixed configuration cannot react to the
+/// sensed temperature. `oracle` serves both the static and exhaustive
+/// lanes.
+pub fn contestants<'a>(
+    config: &EvalConfig,
+    oracle: &'a ExhaustiveOptimizer,
+    zoo: &'a ControllerZoo,
+) -> [Contestant<'a>; SCHEMES.len()] {
+    let sensed = config.th_c;
+    [
+        (SCHEMES[0], oracle, config.constraints.th_max_c),
+        (SCHEMES[1], oracle, sensed),
+        (SCHEMES[2], &zoo.fuzzy, sensed),
+        (SCHEMES[3], &zoo.nn, sensed),
+        (SCHEMES[4], &zoo.tree, sensed),
+        (SCHEMES[5], &zoo.mlp, sensed),
+    ]
+}
 
 /// Index of the reference contestant (the exhaustive oracle at the
 /// sensed temperature) within [`SCHEMES`].
@@ -197,33 +223,50 @@ impl Tournament {
 
         // Pass 1: each training chip trains its own zoo and scores all
         // contestants on itself.
-        let trained = fan_out(self.chips, self.threads, tracer, |i, t| {
-            let chip = factory.chip(i as u64);
-            let zoo = ControllerZoo::train_traced(&self.config, &chip, 0, self.env, &self.training, t);
-            let accs = self.score_chip(&chip, &zoo, &profiles, t);
-            (zoo, accs)
-        });
         let mut train_total = [Acc::default(); SCHEMES.len()];
-        let mut zoos = Vec::with_capacity(trained.len());
-        for (zoo, accs) in trained {
-            for (total, acc) in train_total.iter_mut().zip(&accs) {
-                total.add(acc);
-            }
-            zoos.push(zoo);
+        let mut zoos = Vec::with_capacity(self.chips);
+        let trained = fan_out(
+            self.chips,
+            0,
+            self.threads,
+            tracer,
+            |i, t| {
+                let chip = factory.chip(i as u64);
+                let zoo =
+                    ControllerZoo::train_traced(&self.config, &chip, 0, self.env, &self.training, t);
+                let accs = self.score_chip(&chip, &zoo, &profiles, t);
+                (zoo, accs)
+            },
+            |_, (zoo, accs), records| {
+                tracer.replay(records);
+                add_all(&mut train_total, &accs);
+                zoos.push(zoo);
+            },
+        );
+        if let Err(panic) = trained {
+            std::panic::resume_unwind(panic);
         }
 
         // Pass 2: held-out chips (disjoint seeds) driven by zoos trained
         // on *other* chips, round-robin.
         let mut holdout_total = [Acc::default(); SCHEMES.len()];
         if !zoos.is_empty() {
-            let holdout = fan_out(self.holdout_chips, self.threads, tracer, |h, t| {
-                let chip = factory.chip((self.chips + h) as u64);
-                self.score_chip(&chip, &zoos[h % zoos.len()], &profiles, t)
-            });
-            for accs in holdout {
-                for (total, acc) in holdout_total.iter_mut().zip(&accs) {
-                    total.add(acc);
-                }
+            let scored = fan_out(
+                self.holdout_chips,
+                0,
+                self.threads,
+                tracer,
+                |h, t| {
+                    let chip = factory.chip((self.chips + h) as u64);
+                    self.score_chip(&chip, &zoos[h % zoos.len()], &profiles, t)
+                },
+                |_, accs, records| {
+                    tracer.replay(records);
+                    add_all(&mut holdout_total, &accs);
+                },
+            );
+            if let Err(panic) = scored {
+                std::panic::resume_unwind(panic);
             }
         }
 
@@ -267,46 +310,38 @@ impl Tournament {
         tracer: Tracer<'_>,
     ) -> [Acc; SCHEMES.len()] {
         let exh = ExhaustiveOptimizer::new();
-        let static_c = StaticController::new(&exh);
-        let exh_c = OptimizerController::new("exhaustive", &exh);
-        let fuzzy_c = OptimizerController::new("fuzzy", &zoo.fuzzy);
-        let nn_c = OptimizerController::new("nn-table", &zoo.nn);
-        let tree_c = OptimizerController::new("tree", &zoo.tree);
-        let mlp_c = OptimizerController::new("mlp", &zoo.mlp);
-        let contestants: [&dyn Controller; SCHEMES.len()] =
-            [&static_c, &exh_c, &fuzzy_c, &nn_c, &tree_c, &mlp_c];
+        let contestants = contestants(&self.config, &exh, zoo);
         let mut accs = [Acc::default(); SCHEMES.len()];
         let core = chip.core(0);
+        let decide = |(scheme, optimizer, th_c): Contestant<'_>,
+                      profile: &WorkloadProfile,
+                      ph: &PhaseProfile| {
+            let ctx = DecisionContext {
+                scheme,
+                workload: profile.name,
+                phase: ph.index as u64,
+            };
+            decide_phase_traced(
+                &self.config,
+                core,
+                optimizer,
+                self.env,
+                ph,
+                profile.class,
+                profile.rp_cycles,
+                th_c,
+                &ctx,
+                tracer,
+            )
+        };
         for profile in profiles {
             for ph in &profile.phases {
-                let reference = contestants[REF].decide(
-                    &self.config,
-                    core,
-                    self.env,
-                    ph,
-                    profile.class,
-                    profile.rp_cycles,
-                    self.config.th_c,
-                    profile.name,
-                    ph.index as u64,
-                    tracer,
-                );
-                for (k, c) in contestants.iter().enumerate() {
+                let reference = decide(contestants[REF], profile, ph);
+                for (k, &c) in contestants.iter().enumerate() {
                     let d = if k == REF {
                         reference.clone()
                     } else {
-                        c.decide(
-                            &self.config,
-                            core,
-                            self.env,
-                            ph,
-                            profile.class,
-                            profile.rp_cycles,
-                            self.config.th_c,
-                            profile.name,
-                            ph.index as u64,
-                            tracer,
-                        )
+                        decide(c, profile, ph)
                     };
                     let acc = &mut accs[k];
                     acc.decisions += 1;
@@ -320,68 +355,18 @@ impl Tournament {
         // One shared oracle serves the static and exhaustive lanes;
         // take_stats drains, so flushing each contestant double-counts
         // nothing.
-        for c in contestants {
-            c.flush_metrics(tracer);
+        for (_, optimizer, _) in contestants {
+            optimizer.flush_metrics(tracer);
         }
         accs
     }
 }
 
-/// Runs `work(i)` for `i in 0..n` across up to `threads` workers
-/// (0 = all cores), each item tracing into its own buffer; buffers are
-/// replayed into `tracer` in item order, so the merged primary stream is
-/// independent of thread count and schedule (timing records stream
-/// directly — they are outside the determinism contract).
-fn fan_out<T: Send>(
-    n: usize,
-    threads: usize,
-    tracer: Tracer<'_>,
-    work: impl Fn(usize, Tracer<'_>) -> T + Sync,
-) -> Vec<T> {
-    let workers = if threads == 0 {
-        std::thread::available_parallelism().map(|w| w.get()).unwrap_or(1)
-    } else {
-        threads
+/// Adds one chip's per-scheme accumulators into the population totals.
+fn add_all(totals: &mut [Acc; SCHEMES.len()], chip: &[Acc; SCHEMES.len()]) {
+    for (total, acc) in totals.iter_mut().zip(chip) {
+        total.add(acc);
     }
-    .min(n)
-    .max(1);
-    let buffers: Vec<BufferSink> = (0..n).map(|_| BufferSink::new()).collect();
-    let slots: Mutex<Vec<Option<T>>> = Mutex::new(std::iter::repeat_with(|| None).take(n).collect());
-    let next = AtomicUsize::new(0);
-    let run = || loop {
-        let i = next.fetch_add(1, Ordering::Relaxed);
-        if i >= n {
-            break;
-        }
-        let item_tracer = if tracer.enabled() {
-            tracer.buffered(&buffers[i])
-        } else {
-            tracer.without_sink()
-        };
-        let out = work(i, item_tracer);
-        let mut guard = slots.lock().unwrap_or_else(|e| e.into_inner());
-        guard[i] = Some(out);
-    };
-    if workers > 1 {
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(run);
-            }
-        });
-    } else {
-        run();
-    }
-    let slots = slots.into_inner().unwrap_or_else(|e| e.into_inner());
-    slots
-        .into_iter()
-        .enumerate()
-        .map(|(i, slot)| {
-            tracer.replay(buffers[i].drain());
-            // lint:allow(panic-safety): the claim counter covers 0..n and a
-            // worker panic propagates out of the scope before this runs.
-            slot.expect("claimed item stored a result")
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -486,11 +471,20 @@ mod tests {
             .map(|s| s.decisions + s.holdout_decisions)
             .sum();
         assert_eq!(reg.counter(names::CONTROLLER_TOURNAMENT_DECISIONS), total);
-        // Per-scheme decision counters cover both populations too.
-        assert_eq!(
-            reg.counter(names::DECISION_COUNT_MLP),
-            result.score("mlp").map(|s| s.decisions + s.holdout_decisions).unwrap()
-        );
+        // Every contestant decides under its own scheme label, on both
+        // populations (the reference lane decides once per phase).
+        let counters = [
+            names::DECISION_COUNT_STATIC,
+            names::DECISION_COUNT_EXHAUSTIVE,
+            names::DECISION_COUNT_FUZZY,
+            names::DECISION_COUNT_NN_TABLE,
+            names::DECISION_COUNT_TREE,
+            names::DECISION_COUNT_MLP,
+        ];
+        for (s, counter) in result.scores.iter().zip(counters) {
+            assert_eq!(reg.counter(counter), s.decisions + s.holdout_decisions, "{counter}");
+        }
+        assert_eq!(reg.counter(names::DECISION_COUNT), total);
         // The zoo trainer left its fingerprints: fuzzy parity events plus
         // the learned-bank counter (3 learned families per fuzzy bank).
         let fuzzy_banks = reg.counter(names::FUZZY_CONTROLLERS_TRAINED);

@@ -1,150 +1,21 @@
-//! The controller zoo: a common [`Controller`] abstraction over every
-//! per-phase operating-point decision maker, plus one-stop training of
-//! all learned families from a single teacher sweep.
+//! The controller zoo: one-stop training of every learned per-phase
+//! operating-point decision maker from a single teacher sweep.
 //!
-//! A [`Controller`] is an [`Optimizer`] plus decision policy: which
-//! scheme label it traces under and which heat-sink temperature it
-//! provisions for. The existing backends slot straight in —
-//! [`OptimizerController`] wraps any optimizer at the sensed
-//! temperature, [`StaticController`] wraps the exhaustive oracle at
-//! worst-case `TH_MAX` (a static configuration cannot react to
-//! conditions). The learned families from [`crate::learned`] arrive via
-//! [`ControllerZoo::train_traced`], which samples the exhaustive
-//! teacher once per (subsystem, variant) bank and trains the fuzzy,
-//! nearest-neighbor, tree, and MLP banks from the *same* examples — so
-//! every family sees an identical curriculum and the fuzzy controllers
-//! stay bit-identical to [`FuzzyOptimizer::train_traced`].
+//! [`ControllerZoo::train_traced`] samples the exhaustive teacher once
+//! per (subsystem, variant) bank and trains the fuzzy, nearest-neighbor,
+//! tree, and MLP banks from the *same* examples — so every family sees
+//! an identical curriculum and the fuzzy controllers stay bit-identical
+//! to [`FuzzyOptimizer::train_traced`]. Every member is a plain
+//! [`Optimizer`](crate::optimizer::Optimizer); decisions go through
+//! [`decide_phase_traced`](crate::controller::decide_phase_traced) like
+//! any other backend (the tournament's contestant table is
+//! [`crate::tournament::contestants`]).
 
-use eval_core::{ChipModel, Environment, EvalConfig, CoreModel, N_SUBSYSTEMS};
+use eval_core::{ChipModel, Environment, EvalConfig, N_SUBSYSTEMS};
 use eval_trace::Tracer;
-use eval_uarch::profile::PhaseProfile;
-use eval_uarch::WorkloadClass;
 
-use crate::controller::{decide_phase_traced, DecisionContext, PhaseDecision};
-use crate::exhaustive::ExhaustiveOptimizer;
 use crate::fuzzy_ctl::{self, FuzzyOptimizer, TrainingBudget};
 use crate::learned::{LearnedBank, LearnedOptimizer, MlpQ16, NnTable, RegressionTree};
-use crate::optimizer::Optimizer;
-
-/// A per-phase operating-point decision maker: the scheme label it
-/// traces under, the optimizer backend it consults, and the heat-sink
-/// temperature it provisions for. `decide` is a provided method so
-/// every implementation routes through [`decide_phase_traced`] with a
-/// consistently-labeled [`DecisionContext`].
-pub trait Controller {
-    /// Stable scheme label for traces and rollups.
-    fn scheme(&self) -> &'static str;
-
-    /// The optimizer backend consulted per subsystem.
-    fn optimizer(&self) -> &dyn Optimizer;
-
-    /// The heat-sink temperature the decision provisions for; the
-    /// default is the sensed temperature passed in.
-    fn provision_th_c(&self, _config: &EvalConfig, sensed_th_c: f64) -> f64 {
-        sensed_th_c
-    }
-
-    /// Decides one phase, fully traced under this controller's scheme
-    /// label (span, per-scheme latency timer and counter, `Decision`
-    /// event).
-    #[allow(clippy::too_many_arguments)]
-    fn decide(
-        &self,
-        config: &EvalConfig,
-        core: &CoreModel,
-        env: Environment,
-        phase: &PhaseProfile,
-        class: WorkloadClass,
-        rp_cycles: f64,
-        sensed_th_c: f64,
-        workload: &'static str,
-        phase_idx: u64,
-        tracer: Tracer<'_>,
-    ) -> PhaseDecision {
-        let ctx = DecisionContext {
-            scheme: self.scheme(),
-            workload,
-            phase: phase_idx,
-        };
-        decide_phase_traced(
-            config,
-            core,
-            self.optimizer(),
-            env,
-            phase,
-            class,
-            rp_cycles,
-            self.provision_th_c(config, sensed_th_c),
-            &ctx,
-            tracer,
-        )
-    }
-
-    /// Drains any accumulated optimizer counters into metrics.
-    fn flush_metrics(&self, tracer: Tracer<'_>) {
-        self.optimizer().flush_metrics(tracer);
-    }
-}
-
-/// Any optimizer as a controller, deciding at the sensed temperature
-/// under an explicit scheme label.
-#[derive(Debug, Clone, Copy)]
-pub struct OptimizerController<'a> {
-    scheme: &'static str,
-    optimizer: &'a dyn Optimizer,
-}
-
-impl std::fmt::Debug for dyn Optimizer + '_ {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Optimizer({})", self.name())
-    }
-}
-
-impl<'a> OptimizerController<'a> {
-    /// Wraps `optimizer` under `scheme`.
-    pub fn new(scheme: &'static str, optimizer: &'a dyn Optimizer) -> Self {
-        Self { scheme, optimizer }
-    }
-}
-
-impl Controller for OptimizerController<'_> {
-    fn scheme(&self) -> &'static str {
-        self.scheme
-    }
-
-    fn optimizer(&self) -> &dyn Optimizer {
-        self.optimizer
-    }
-}
-
-/// The static scheme as a controller: the exhaustive oracle provisioned
-/// for the hottest heat sink the spec allows (`TH_MAX`), because a
-/// fixed configuration cannot react to the sensed temperature.
-#[derive(Debug, Clone, Copy)]
-pub struct StaticController<'a> {
-    optimizer: &'a ExhaustiveOptimizer,
-}
-
-impl<'a> StaticController<'a> {
-    /// Wraps the exhaustive oracle.
-    pub fn new(optimizer: &'a ExhaustiveOptimizer) -> Self {
-        Self { optimizer }
-    }
-}
-
-impl Controller for StaticController<'_> {
-    fn scheme(&self) -> &'static str {
-        "static"
-    }
-
-    fn optimizer(&self) -> &dyn Optimizer {
-        self.optimizer
-    }
-
-    fn provision_th_c(&self, config: &EvalConfig, _sensed_th_c: f64) -> f64 {
-        config.constraints.th_max_c
-    }
-}
 
 /// Every trainable controller family for one core in one environment,
 /// trained from one shared teacher sweep.
@@ -233,8 +104,8 @@ mod tests {
         ChipFactory, SubsystemId, FREQ_LADDER, VariantSelection, VBB_LADDER, VDD_LADDER,
     };
     use eval_fuzzy::TrainingConfig;
-    use crate::optimizer::SubsystemScene;
-    use eval_uarch::{profile_workload, Workload};
+    use crate::exhaustive::ExhaustiveOptimizer;
+    use crate::optimizer::{Optimizer, SubsystemScene};
     use std::sync::OnceLock;
 
     fn factory() -> &'static ChipFactory {
@@ -331,39 +202,49 @@ mod tests {
     }
 
     #[test]
-    fn controllers_decide_under_their_own_scheme_labels() {
+    fn out_of_range_inputs_saturate_onto_the_ladders() {
         let cfg = factory().config().clone();
-        let chip = factory().chip(7);
-        let zoo = ControllerZoo::train(&cfg, &chip, 0, Environment::TS_ASV, &small_budget());
-        let exh = ExhaustiveOptimizer::new();
-        let w = Workload::by_name("swim").unwrap();
-        let profile = profile_workload(&w, 6_000, 5);
-        let static_c = StaticController::new(&exh);
-        let exh_c = OptimizerController::new("exhaustive", &exh);
-        let mlp_c = OptimizerController::new("mlp", &zoo.mlp);
-        let contestants: [&dyn Controller; 3] = [&static_c, &exh_c, &mlp_c];
-        let collector = eval_trace::Collector::new();
-        for c in contestants {
-            let tracer = eval_trace::Tracer::new(&collector);
-            let d = c.decide(
-                &cfg,
-                chip.core(0),
-                Environment::TS_ASV,
-                &profile.phases[0],
-                w.class,
-                profile.rp_cycles,
-                cfg.th_c,
-                "swim",
-                0,
-                tracer,
-            );
-            assert!(d.perf_bips > 0.0, "{} produced no performance", c.scheme());
+        let chip = factory().chip(8);
+        let env = Environment::TS_ASV_ABB;
+        let budget = TrainingBudget {
+            examples: 60,
+            ..small_budget()
+        };
+        let zoo = ControllerZoo::train(&cfg, &chip, 0, env, &budget);
+        let members: [(&str, &dyn Optimizer); 4] = [
+            ("fuzzy", &zoo.fuzzy),
+            ("nn-table", &zoo.nn),
+            ("tree", &zoo.tree),
+            ("mlp", &zoo.mlp),
+        ];
+        let pe_budget = cfg.constraints.pe_budget_per_subsystem(N_SUBSYSTEMS);
+        let sane = SubsystemScene {
+            state: chip.core(0).subsystem(SubsystemId::IntAlu),
+            variants: VariantSelection::default(),
+            th_c: 60.0,
+            alpha_f: 0.5,
+            rho: 0.7,
+            pe_budget,
+            env,
+        };
+        for (label, opt) in members {
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e12] {
+                // One out-of-range input at a time; the last scene is sane
+                // and `f_core` is out of range instead.
+                let mut scenes = [sane.clone(), sane.clone(), sane.clone(), sane.clone()];
+                scenes[0].th_c = bad;
+                scenes[1].alpha_f = bad;
+                scenes[2].rho = bad;
+                for (k, scene) in scenes.iter().enumerate() {
+                    let f_core = if k == 3 { bad } else { 4.0 };
+                    let f = opt.freq_max(&cfg, scene);
+                    assert!(FREQ_LADDER.contains(f), "{label} freq {f} at input {bad}");
+                    let (vdd, vbb) = opt.power_settings(&cfg, scene, f_core);
+                    assert!(VDD_LADDER.contains(vdd), "{label} vdd {vdd} at input {bad}");
+                    assert!(VBB_LADDER.contains(vbb), "{label} vbb {vbb} at input {bad}");
+                }
+            }
         }
-        let reg = collector.registry();
-        assert_eq!(reg.counter("decision.count"), 3);
-        assert_eq!(reg.counter("decision.count.static"), 1);
-        assert_eq!(reg.counter("decision.count.exhaustive"), 1);
-        assert_eq!(reg.counter("decision.count.mlp"), 1);
     }
 
     #[test]

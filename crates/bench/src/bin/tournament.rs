@@ -15,11 +15,9 @@
 
 use std::time::Instant;
 
-use eval_adapt::tournament::SCHEMES;
-use eval_adapt::{
-    Controller, ControllerZoo, ExhaustiveOptimizer, OptimizerController, StaticController,
-    Tournament,
-};
+use eval_adapt::controller::{decide_phase_traced, DecisionContext};
+use eval_adapt::tournament::{contestants, Contestant, SCHEMES};
+use eval_adapt::{ControllerZoo, ExhaustiveOptimizer, Tournament};
 use eval_bench::{chips_from_env, session_tracer, workloads_from_env, TraceSession};
 use eval_core::ChipFactory;
 use eval_trace::Tracer;
@@ -32,7 +30,7 @@ fn env_usize(name: &str) -> Option<usize> {
 /// Mean wall time per decision for one contestant: best of three passes
 /// over every phase of every profile (the first pass doubles as warmup).
 fn mean_decision_ns(
-    c: &dyn Controller,
+    (scheme, optimizer, th_c): Contestant<'_>,
     t: &Tournament,
     core: &eval_core::CoreModel,
     profiles: &[WorkloadProfile],
@@ -43,16 +41,21 @@ fn mean_decision_ns(
         let mut n: u64 = 0;
         for p in profiles {
             for ph in &p.phases {
-                let d = c.decide(
+                let ctx = DecisionContext {
+                    scheme,
+                    workload: p.name,
+                    phase: ph.index as u64,
+                };
+                let d = decide_phase_traced(
                     &t.config,
                     core,
+                    optimizer,
                     t.env,
                     ph,
                     p.class,
                     p.rp_cycles,
-                    t.config.th_c,
-                    p.name,
-                    ph.index as u64,
+                    th_c,
+                    &ctx,
                     Tracer::noop(),
                 );
                 std::hint::black_box(d.f_ghz);
@@ -79,19 +82,7 @@ fn measure_latencies(t: &Tournament) -> [f64; SCHEMES.len()] {
         .map(|w| profile_workload(w, t.profile_budget, t.profile_seed))
         .collect();
     let exh = ExhaustiveOptimizer::new();
-    let static_c = StaticController::new(&exh);
-    let exh_c = OptimizerController::new("exhaustive", &exh);
-    let fuzzy_c = OptimizerController::new("fuzzy", &zoo.fuzzy);
-    let nn_c = OptimizerController::new("nn-table", &zoo.nn);
-    let tree_c = OptimizerController::new("tree", &zoo.tree);
-    let mlp_c = OptimizerController::new("mlp", &zoo.mlp);
-    let contestants: [&dyn Controller; SCHEMES.len()] =
-        [&static_c, &exh_c, &fuzzy_c, &nn_c, &tree_c, &mlp_c];
-    let mut out = [0.0; SCHEMES.len()];
-    for (slot, c) in out.iter_mut().zip(contestants) {
-        *slot = mean_decision_ns(c, t, core, &profiles);
-    }
-    out
+    contestants(&t.config, &exh, &zoo).map(|c| mean_decision_ns(c, t, core, &profiles))
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

@@ -84,9 +84,10 @@ impl Ladder {
         self.min + steps * self.step
     }
 
-    /// The ladder setting nearest to `x` (clamped to the range).
+    /// The ladder setting nearest to `x` (clamped to the range; NaN maps
+    /// to `min`, the most conservative setting).
     pub fn nearest(&self, x: f64) -> f64 {
-        if x <= self.min {
+        if x <= self.min || x.is_nan() {
             return self.min;
         }
         if x >= self.max {
@@ -182,6 +183,7 @@ mod tests {
         assert!((FREQ_LADDER.nearest(4.27) - 4.3).abs() < 1e-9);
         assert!((FREQ_LADDER.floor(1.0) - 2.4).abs() < 1e-12);
         assert!((FREQ_LADDER.nearest(9.0) - 5.6).abs() < 1e-12);
+        assert_eq!(FREQ_LADDER.nearest(f64::NAN), FREQ_LADDER.min);
     }
 
     #[test]

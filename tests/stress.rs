@@ -133,6 +133,7 @@ fn retune_survives_malicious_settings() {
         &[1.0; N_SUBSYSTEMS],
         &[1.0; N_SUBSYSTEMS],
         &VariantSelection::default(),
+        eval_trace::Tracer::noop(),
     );
     assert!(FREQ_LADDER.contains(r.f_ghz));
     assert!(matches!(
