@@ -24,7 +24,9 @@ use crate::checkpoint::{
     self, capture_metrics, CheckpointError, CheckpointOptions, CheckpointWriter, ChipRecord,
     RecordedOutcome,
 };
-use crate::controller::{decide_phase_traced, AdaptationTimeline, DecisionContext, PhaseDecision};
+use crate::controller::{
+    decide_phase_traced, queue_size, AdaptationTimeline, DecisionContext, PhaseDecision,
+};
 use crate::exhaustive::ExhaustiveOptimizer;
 use crate::fuzzy_ctl::{FuzzyOptimizer, TrainingBudget};
 use crate::optimizer::Optimizer;
@@ -252,11 +254,11 @@ pub struct Campaign {
     /// never affect results, so it is excluded from the checkpoint
     /// fingerprint, like [`Campaign::threads`].
     pub postmortem_dir: Option<PathBuf>,
-    /// Ring capacity (entries, minimum 1) of the per-chip flight
-    /// recorder behind [`Campaign::postmortem_dir`]. Execution-only —
-    /// excluded from the checkpoint fingerprint.
-    pub flight_recorder_capacity: usize,
 }
+
+/// Ring capacity (entries) of the per-chip flight recorder behind
+/// [`Campaign::postmortem_dir`]: the decisions a postmortem bundle keeps.
+const FLIGHT_RECORDER_CAPACITY: usize = 64;
 
 impl Campaign {
     /// A campaign with the paper's protocol but a configurable chip count.
@@ -272,7 +274,6 @@ impl Campaign {
             threads: 0,
             fail_chip: None,
             postmortem_dir: None,
-            flight_recorder_capacity: 64,
         }
     }
 
@@ -644,7 +645,7 @@ impl Campaign {
         postmortem: Option<&PostmortemSink<'_>>,
     ) -> RecordedOutcome {
         let recorder =
-            postmortem.map(|_| RefCell::new(FlightRecorder::new(self.flight_recorder_capacity)));
+            postmortem.map(|_| RefCell::new(FlightRecorder::new(FLIGHT_RECORDER_CAPACITY)));
         if self.fail_chip == Some(chip_idx) {
             let error = CampaignError::Internal("injected chip fault (fail_chip)");
             // The injected fault must keep firing *before* any trace
@@ -1019,7 +1020,7 @@ impl Campaign {
                         });
                         CampaignError::Infeasible { context, source }
                     })?;
-                let queue = static_queue_size(profile, &d);
+                let queue = queue_size(profile.class, &d.variants);
                 let perf = PerfModel::new(
                     ph.cpi_comp(queue),
                     ph.mr,
@@ -1044,20 +1045,6 @@ impl Campaign {
         } else {
             total_w - self.config.checker_w
         }
-    }
-}
-
-/// The queue sizing a static decision implies for this workload class.
-fn static_queue_size(
-    profile: &WorkloadProfile,
-    d: &crate::controller::PhaseDecision,
-) -> QueueSize {
-    use eval_core::QueueChoice;
-    use eval_uarch::WorkloadClass;
-    match (profile.class, d.variants.int_queue, d.variants.fp_queue) {
-        (WorkloadClass::Int, QueueChoice::Small, _) => QueueSize::ThreeQuarters,
-        (WorkloadClass::Fp, _, QueueChoice::Small) => QueueSize::ThreeQuarters,
-        _ => QueueSize::Full,
     }
 }
 
@@ -1373,7 +1360,6 @@ mod tests {
         let mut c = tiny_campaign();
         c.fail_chip = Some(1);
         c.postmortem_dir = Some(dir.clone());
-        c.flight_recorder_capacity = 3;
         let timing = Collector::new();
         let primary = Collector::new();
         let r = c
@@ -1395,13 +1381,14 @@ mod tests {
             .iter()
             .filter(|l| l.contains("\"kind\":\"flight\""))
             .collect();
-        // Ring capacity 3: the sweep makes four decisions (two phases
-        // per workload), so the ring wraps and the bundle holds exactly
-        // the last three, each with an operating point and its binding
-        // constraint.
-        assert_eq!(flights.len(), 3, "{text}");
-        assert!(flights.iter().any(|l| l.contains("\"seq\":3")), "{text}");
-        assert!(!text.contains("\"seq\":0"), "oldest entry evicted: {text}");
+        // The sweep makes four decisions (two phases per workload), all
+        // within the ring, so the bundle holds seq 0-3, each with an
+        // operating point and its binding constraint. (Wraparound is
+        // covered by the flight recorder's own tests.)
+        assert_eq!(flights.len(), 4, "{text}");
+        for seq in 0..4 {
+            assert!(text.contains(&format!("\"seq\":{seq}")), "{text}");
+        }
         assert!(flights.iter().all(|l| l.contains("\"f_ghz\":")), "{text}");
         assert!(flights.iter().all(|l| l.contains("\"binding\":")), "{text}");
         // Stamped artifact: provenance footer is the last line.

@@ -119,9 +119,9 @@ fn io_err(path: &Path, err: &std::io::Error) -> CheckpointError {
 /// chip's results: the campaign configuration (config, chip count, base
 /// seed, profile budget, workload list, training budget, cores per
 /// chip) and the requested environment/scheme sets. Execution-only knobs
-/// (`threads`, `fail_chip`, `postmortem_dir`, `flight_recorder_capacity`)
-/// are deliberately excluded — they do not change results, so a resume
-/// may use a different thread count or observability setup.
+/// (`threads`, `fail_chip`, `postmortem_dir`) are deliberately excluded —
+/// they do not change results, so a resume may use a different thread
+/// count or observability setup.
 pub fn fingerprint(campaign: &Campaign, envs: &[Environment], schemes: &[Scheme]) -> u64 {
     let mut canon = String::new();
     let _ = write!(
@@ -720,11 +720,10 @@ mod tests {
         a.threads = 7;
         assert_eq!(fingerprint(&a, &envs, &schemes), base, "threads excluded");
         a.postmortem_dir = Some(std::path::PathBuf::from("target/pm"));
-        a.flight_recorder_capacity = 9;
         assert_eq!(
             fingerprint(&a, &envs, &schemes),
             base,
-            "postmortem knobs excluded"
+            "postmortem dir excluded"
         );
         a.base_seed = 1;
         assert_ne!(fingerprint(&a, &envs, &schemes), base, "seed included");

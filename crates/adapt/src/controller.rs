@@ -286,12 +286,8 @@ pub fn decide_phase_traced(
         config, core, th_c, f_core, &settings, &alpha, &rho, &variants, tracer,
     );
 
-    let queue_size = match (class, variants.int_queue, variants.fp_queue) {
-        (WorkloadClass::Int, QueueChoice::Small, _) => QueueSize::ThreeQuarters,
-        (WorkloadClass::Fp, _, QueueChoice::Small) => QueueSize::ThreeQuarters,
-        _ => QueueSize::Full,
-    };
-    let perf_model = PerfModel::new(phase.cpi_comp(queue_size), phase.mr, phase.mp_ns, rp_cycles);
+    let queue = queue_size(class, &variants);
+    let perf_model = PerfModel::new(phase.cpi_comp(queue), phase.mr, phase.mp_ns, rp_cycles);
     let pe = result.evaluation.pe_per_instruction.clamp(0.0, 1.0);
     let perf_bips = perf_model.perf(result.f_ghz, pe);
     // The binding constraint comes from the retune loop itself (tracked
@@ -396,6 +392,16 @@ impl AdaptationTimeline {
 impl Default for AdaptationTimeline {
     fn default() -> Self {
         Self::micro08()
+    }
+}
+
+/// The issue-queue sizing a workload class runs with under `variants`:
+/// three-quarter queues only when its own queue was resized.
+pub(crate) fn queue_size(class: WorkloadClass, variants: &VariantSelection) -> QueueSize {
+    match (class, variants.int_queue, variants.fp_queue) {
+        (WorkloadClass::Int, QueueChoice::Small, _) => QueueSize::ThreeQuarters,
+        (WorkloadClass::Fp, _, QueueChoice::Small) => QueueSize::ThreeQuarters,
+        _ => QueueSize::Full,
     }
 }
 

@@ -15,15 +15,13 @@
 //! temperature, the counter-measured activity factor and exercise rate,
 //! and (for the `Power` controllers) the core frequency.
 
-use eval_core::{
-    ChipModel, Environment, EvalConfig, SubsystemId, FREQ_LADDER, N_SUBSYSTEMS, VBB_LADDER,
-    VDD_LADDER,
-};
-use eval_fuzzy::{FuzzyController, Normalizer, TrainingConfig};
+use eval_core::{ChipModel, Environment, EvalConfig, SubsystemId, N_SUBSYSTEMS};
+use eval_fuzzy::{FuzzyController, TrainingConfig};
 use eval_rng::ChaCha12Rng;
 
 use crate::exhaustive::ExhaustiveOptimizer;
-use crate::optimizer::{Optimizer, SubsystemScene};
+use crate::learned::{LearnedBank, LearnedOptimizer};
+use crate::optimizer::Optimizer;
 use crate::teacher::{self, TeacherExamples};
 
 /// How much offline training to give each fuzzy controller.
@@ -50,66 +48,11 @@ impl Default for TrainingBudget {
     }
 }
 
-/// One trained controller with its input/output normalization.
-#[derive(Debug, Clone)]
-struct Trained {
-    norm: Normalizer,
-    fc: FuzzyController,
-}
-
-impl Trained {
-    fn infer(&self, raw: &[f64]) -> f64 {
-        let x = self.norm.normalize(raw);
-        self.norm.denormalize_output(self.fc.infer(&x))
-    }
-}
-
-/// Controllers for one (subsystem, variant) pair.
-#[derive(Debug, Clone)]
-struct SubsystemControllers {
-    freq: Trained,
-    vdd: Trained,
-    vbb: Trained,
-}
-
-/// Trains one fuzzy bank (`Freq`, `Vdd`, `Vbb`) from a teacher example
-/// set, returning the bank and the `Freq` controller's RMS error on its
-/// normalized training set (0 unless `want_rms`).
-fn train_bank(
-    ex: &TeacherExamples,
-    budget: &TrainingBudget,
-    id: SubsystemId,
-    want_rms: bool,
-) -> (SubsystemControllers, f64) {
-    let train_one = |examples: &[(Vec<f64>, f64)], salt: u64| -> (Trained, f64) {
-        let norm = Normalizer::fit(examples);
-        let normalized = norm.apply(examples);
-        let fc = FuzzyController::train(
-            &normalized,
-            &budget.config,
-            budget.seed ^ salt ^ (id.index() as u64) << 8,
-        )
-        // lint:allow(panic-safety): TrainingBudget::default
-        // sizes the example set well above the rule count, and
-        // train() only fails when it is smaller.
-        .expect("training set is larger than the rule count");
-        let rms = if want_rms { fc.rms_error(&normalized) } else { 0.0 };
-        (Trained { norm, fc }, rms)
-    };
-    let (freq, freq_rms) = train_one(&ex.freq, 0x11);
-    let (vdd, _) = train_one(&ex.vdd, 0x22);
-    let (vbb, _) = train_one(&ex.vbb, 0x33);
-    (SubsystemControllers { freq, vdd, vbb }, freq_rms)
-}
-
-/// The deployable fuzzy optimizer for one core in one environment.
-#[derive(Debug, Clone)]
-pub struct FuzzyOptimizer {
-    env: Environment,
-    /// `[subsystem][variant_enabled]`; the variant slot is `None` for
-    /// subsystems without an alternate structure.
-    controllers: Vec<[Option<SubsystemControllers>; 2]>,
-}
+/// The deployable fuzzy optimizer for one core in one environment: a
+/// [`LearnedOptimizer`] whose banks hold fuzzy controllers, so it
+/// decides, persists and fingerprints like every other trained
+/// controller.
+pub type FuzzyOptimizer = LearnedOptimizer<FuzzyController>;
 
 impl FuzzyOptimizer {
     /// Trains the per-subsystem controllers for `core` under `env` by
@@ -144,33 +87,17 @@ impl FuzzyOptimizer {
         let _span = tracer.span("train");
         teacher_sweep(config, chip, core_index, env, budget, tracer, |_, _, _| {})
     }
-
-    /// The environment these controllers were trained for.
-    pub fn environment(&self) -> Environment {
-        self.env
-    }
-
-    fn lookup(&self, scene: &SubsystemScene<'_>) -> &SubsystemControllers {
-        let id = scene.state.id();
-        let alt = teacher::scene_alt(scene);
-        self.controllers[id.index()][alt as usize]
-            .as_ref()
-            .or(self.controllers[id.index()][0].as_ref())
-            // lint:allow(panic-safety): the constructor trains slot 0 for
-            // every subsystem id before FuzzyOptimizer is handed out.
-            .expect("controller trained for every subsystem")
-    }
 }
 
 /// The offline teacher sweep behind [`FuzzyOptimizer::train_traced`] and
 /// [`ControllerZoo::train_traced`](crate::ControllerZoo::train_traced):
 /// one RNG stream seeded from the budget and the chip, one exhaustive
 /// oracle, and one teacher example set per (subsystem, variant) bank in
-/// [`SubsystemId::ALL`] order. Each bank's fuzzy controllers are trained
-/// and traced (a `fuzzy.controllers_trained` count and a
-/// `ControllerTrained` event); `per_bank` then sees the same examples,
-/// which is how the zoo trains its learned families from the identical
-/// curriculum.
+/// [`SubsystemId::ALL`] order. Each bank's fuzzy controllers are fitted
+/// under seed `budget.seed ^ (id << 8)` and traced (a
+/// `fuzzy.controllers_trained` count and a `ControllerTrained` event);
+/// `per_bank` then sees the same examples, which is how the zoo trains
+/// its learned families from the identical curriculum.
 pub(crate) fn teacher_sweep(
     config: &EvalConfig,
     chip: &ChipModel,
@@ -185,7 +112,7 @@ pub(crate) fn teacher_sweep(
     let pe_budget = config.constraints.pe_budget_per_subsystem(N_SUBSYSTEMS);
     let mut rng = ChaCha12Rng::seed_from_u64(budget.seed ^ chip.seed());
 
-    let mut controllers = Vec::with_capacity(N_SUBSYSTEMS);
+    let mut banks = Vec::with_capacity(N_SUBSYSTEMS);
     for id in SubsystemId::ALL {
         let state = core.subsystem(id);
         let variants: &[bool] = if teacher::has_variant(id) && (env.fu_replication || env.queue) {
@@ -193,7 +120,7 @@ pub(crate) fn teacher_sweep(
         } else {
             &[false]
         };
-        let mut slot: [Option<SubsystemControllers>; 2] = [None, None];
+        let mut slot = [None, None];
         for &alt in variants {
             let vsel = teacher::variant_selection_for(id, alt);
             let ex = teacher::sample_bank(
@@ -206,7 +133,19 @@ pub(crate) fn teacher_sweep(
                 budget.examples,
                 &mut rng,
             );
-            let (bank, freq_rms) = train_bank(&ex, budget, id, tracer.enabled());
+            let bank =
+                LearnedBank::fit(&ex, budget.seed ^ ((id.index() as u64) << 8), |n, seed| {
+                    FuzzyController::train(n, &budget.config, seed)
+                        // lint:allow(panic-safety): TrainingBudget::default
+                        // sizes the example set well above the rule count, and
+                        // train() only fails when it is smaller.
+                        .expect("training set is larger than the rule count")
+                });
+            let freq_rms = if tracer.enabled() {
+                bank.freq.rms_error(&bank.norm_freq.apply(&ex.freq))
+            } else {
+                0.0
+            };
             tracer.count(eval_trace::names::FUZZY_CONTROLLERS_TRAINED);
             tracer.event(|| eval_trace::Event::ControllerTrained {
                 subsystem: id.to_string(),
@@ -217,51 +156,19 @@ pub(crate) fn teacher_sweep(
             slot[alt as usize] = Some(bank);
             per_bank(id, alt, &ex);
         }
-        controllers.push(slot);
+        banks.push(slot);
     }
     // Metrics only (never golden event lines): oracle cache counters
     // accumulated across the whole training sweep.
     oracle.flush_metrics(tracer);
-    FuzzyOptimizer { env, controllers }
-}
-
-impl Optimizer for FuzzyOptimizer {
-    fn name(&self) -> &'static str {
-        "fuzzy"
-    }
-
-    fn freq_max(&self, _config: &EvalConfig, scene: &SubsystemScene<'_>) -> f64 {
-        let t = self.lookup(scene);
-        let raw = t.freq.infer(&[scene.th_c, scene.alpha_f, scene.rho]);
-        FREQ_LADDER.nearest(raw)
-    }
-
-    fn power_settings(
-        &self,
-        _config: &EvalConfig,
-        scene: &SubsystemScene<'_>,
-        f_core: f64,
-    ) -> (f64, f64) {
-        let t = self.lookup(scene);
-        let inputs = [scene.th_c, scene.alpha_f, scene.rho, f_core];
-        let vdd = if scene.env.asv {
-            VDD_LADDER.nearest(t.vdd.infer(&inputs))
-        } else {
-            1.0
-        };
-        let vbb = if scene.env.abb {
-            VBB_LADDER.nearest(t.vbb.infer(&inputs))
-        } else {
-            0.0
-        };
-        (vdd, vbb)
-    }
+    LearnedOptimizer::from_banks(env, banks)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eval_core::{ChipFactory, FuChoice, VariantSelection};
+    use crate::optimizer::SubsystemScene;
+    use eval_core::{ChipFactory, FuChoice, VariantSelection, FREQ_LADDER, VBB_LADDER, VDD_LADDER};
     use std::sync::OnceLock;
 
     fn factory() -> &'static ChipFactory {

@@ -1,8 +1,12 @@
-//! Learned per-phase controllers: alternatives to the fuzzy controller
-//! trained against the same exhaustive teacher.
+//! Trained per-phase controllers: every model fitted against the
+//! exhaustive teacher, deployed and persisted through one type.
 //!
-//! Three model families implement [`PhaseModel`]:
+//! Four model families implement [`PhaseModel`] (inference and
+//! persistence):
 //!
+//! * [`FuzzyController`] — the paper's fuzzy controller (§4.3.1),
+//!   trained under its [`TrainingConfig`](eval_fuzzy::TrainingConfig)
+//!   by [`FuzzyOptimizer::train`](crate::FuzzyOptimizer);
 //! * [`NnTable`] — a nearest-neighbor table over the normalized teacher
 //!   examples (no training beyond memorization; inference is a scan);
 //! * [`RegressionTree`] — a small greedy variance-reduction tree
@@ -11,35 +15,38 @@
 //!   quantized to `i32` Q16.16 fixed point, so deployed inference is
 //!   integer-only and bitwise reproducible on any host.
 //!
-//! A [`LearnedBank`] pairs each model with the [`Normalizer`] it was
-//! trained under (one bank per (subsystem, variant), exactly like the
-//! fuzzy controller), and [`LearnedOptimizer`] assembles banks into a
-//! deployable [`Optimizer`]. Everything persists through the
-//! eval-fuzzy-style versioned text formats, and a whole optimizer
-//! fingerprints via FNV-1a for provenance.
+//! The last three also implement [`SeededModel`] (fitted from examples
+//! and a seed alone). A [`LearnedBank`] pairs each model with the
+//! [`Normalizer`] it was trained under (one bank per (subsystem,
+//! variant)), and [`LearnedOptimizer`] assembles banks into a deployable
+//! [`Optimizer`]. Every format is built from the shared
+//! [`eval_fuzzy::persist`] codec, and a whole optimizer fingerprints via
+//! FNV-1a for provenance.
 
 use eval_core::{Environment, EvalConfig, FREQ_LADDER, VBB_LADDER, VDD_LADDER};
-use eval_fuzzy::{Normalizer, PersistError};
+use eval_fuzzy::persist::{
+    content_lines, dump_floats, dump_ints, expect_header, next_line, parse_row, read_dims,
+    read_row, read_rows,
+};
+use eval_fuzzy::{FuzzyController, Normalizer, PersistError};
 use eval_rng::ChaCha12Rng;
 use eval_trace::provenance::{fnv1a64, hex64};
 
 use crate::optimizer::{Optimizer, SubsystemScene};
 use crate::teacher::{self, TeacherExamples};
 
-/// A trainable, persistable regression model over normalized inputs.
-/// Models map the unit cube to a normalized output in `[0, 1]`-ish
-/// range; the surrounding [`LearnedBank`] owns denormalization.
+/// A deployable, persistable regression model over normalized inputs:
+/// the inference and persistence half of a trained controller. Models
+/// map the unit cube to a normalized output in `[0, 1]`-ish range; the
+/// surrounding [`LearnedBank`] owns denormalization. How a model is
+/// fitted is not part of this trait: the learned families implement
+/// [`SeededModel`], and the fuzzy controller trains under its own
+/// [`TrainingConfig`](eval_fuzzy::TrainingConfig).
 pub trait PhaseModel: std::fmt::Debug + Clone + PartialEq + Send + Sync + Sized {
-    /// Stable scheme label (`nn-table`, `tree`, `mlp`): used for the
-    /// optimizer name, the persist header, and trace scheme rollups.
+    /// Stable scheme label (`fuzzy`, `nn-table`, `tree`, `mlp`): used
+    /// for the optimizer name, the persist header, and trace scheme
+    /// rollups.
     const KIND: &'static str;
-
-    /// Fits the model to normalized `(input, target)` examples.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `examples` is empty or dimensions are inconsistent.
-    fn train(examples: &[(Vec<f64>, f64)], seed: u64) -> Self;
 
     /// Predicts the normalized output for a normalized input.
     fn infer_norm(&self, x: &[f64]) -> f64;
@@ -55,67 +62,30 @@ pub trait PhaseModel: std::fmt::Debug + Clone + PartialEq + Send + Sync + Sized 
     fn from_text(text: &str) -> Result<Self, PersistError>;
 }
 
-fn parse_usize(token: Option<&str>) -> Result<usize, PersistError> {
-    token
-        .and_then(|t| t.parse::<usize>().ok())
-        .ok_or(PersistError::BadDimensions)
+/// A [`PhaseModel`] fitted from normalized examples and a seed alone.
+pub trait SeededModel: PhaseModel {
+    /// Fits the model to normalized `(input, target)` examples.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `examples` is empty or dimensions are inconsistent.
+    fn train(examples: &[(Vec<f64>, f64)], seed: u64) -> Self;
 }
 
-fn parse_floats(line: &str, want: usize) -> Result<Vec<f64>, PersistError> {
-    let vals: Result<Vec<f64>, _> = line
-        .split_whitespace()
-        .map(|t| {
-            t.parse::<f64>().map_err(|_| PersistError::BadNumber {
-                token: t.to_string(),
-            })
-        })
-        .collect();
-    let vals = vals?;
-    if vals.len() != want {
-        return Err(PersistError::BadDimensions);
+impl PhaseModel for FuzzyController {
+    const KIND: &'static str = "fuzzy";
+
+    fn infer_norm(&self, x: &[f64]) -> f64 {
+        self.infer(x)
     }
-    Ok(vals)
-}
 
-fn parse_ints(line: &str, want: usize) -> Result<Vec<i32>, PersistError> {
-    let vals: Result<Vec<i32>, _> = line
-        .split_whitespace()
-        .map(|t| {
-            t.parse::<i32>().map_err(|_| PersistError::BadNumber {
-                token: t.to_string(),
-            })
-        })
-        .collect();
-    let vals = vals?;
-    if vals.len() != want {
-        return Err(PersistError::BadDimensions);
+    fn to_text(&self) -> String {
+        FuzzyController::to_text(self)
     }
-    Ok(vals)
-}
 
-fn expect_header(
-    lines: &mut dyn Iterator<Item = &str>,
-    header: &'static str,
-) -> Result<(), PersistError> {
-    match lines.next() {
-        Some(l) if l.trim() == header => Ok(()),
-        _ => Err(PersistError::BadHeader),
+    fn from_text(text: &str) -> Result<Self, PersistError> {
+        FuzzyController::from_text(text)
     }
-}
-
-fn next_line<'a>(
-    lines: &mut dyn Iterator<Item = &'a str>,
-    expected: &'static str,
-) -> Result<&'a str, PersistError> {
-    lines.next().ok_or(PersistError::UnexpectedEnd { expected })
-}
-
-fn dump_floats(out: &mut String, prefix: &str, vals: &[f64]) {
-    out.push_str(prefix);
-    for v in vals {
-        out.push_str(&format!(" {v:e}"));
-    }
-    out.push('\n');
 }
 
 // ---------------------------------------------------------------------
@@ -133,9 +103,7 @@ pub struct NnTable {
     outputs: Vec<f64>,
 }
 
-impl PhaseModel for NnTable {
-    const KIND: &'static str = "nn-table";
-
+impl SeededModel for NnTable {
     fn train(examples: &[(Vec<f64>, f64)], _seed: u64) -> Self {
         assert!(!examples.is_empty(), "cannot train on an empty example set");
         let dim = examples[0].0.len();
@@ -148,6 +116,10 @@ impl PhaseModel for NnTable {
         }
         Self { dim, points, outputs }
     }
+}
+
+impl PhaseModel for NnTable {
+    const KIND: &'static str = "nn-table";
 
     fn infer_norm(&self, x: &[f64]) -> f64 {
         assert_eq!(x.len(), self.dim, "input dimension mismatch");
@@ -177,30 +149,11 @@ impl PhaseModel for NnTable {
     }
 
     fn from_text(text: &str) -> Result<Self, PersistError> {
-        let mut lines = text.lines().filter(|l| !l.trim().is_empty());
+        let mut lines = content_lines(text);
         expect_header(&mut lines, "nn-table v1")?;
-        let dims = next_line(&mut lines, "dimensions")?;
-        let mut it = dims.split_whitespace();
-        let (n, m) = match (it.next(), it.next(), it.next(), it.next()) {
-            (Some("rows"), n, Some("inputs"), m) => (parse_usize(n)?, parse_usize(m)?),
-            _ => return Err(PersistError::BadDimensions),
-        };
-        if n == 0 || m == 0 {
-            return Err(PersistError::BadDimensions);
-        }
-        let mut points = Vec::with_capacity(n * m);
-        for _ in 0..n {
-            let line = next_line(&mut lines, "x row")?;
-            let rest = line
-                .strip_prefix('x')
-                .ok_or(PersistError::UnexpectedEnd { expected: "x row" })?;
-            points.extend(parse_floats(rest, m)?);
-        }
-        let y_line = next_line(&mut lines, "outputs")?;
-        let rest = y_line
-            .strip_prefix('y')
-            .ok_or(PersistError::UnexpectedEnd { expected: "outputs" })?;
-        let outputs = parse_floats(rest, n)?;
+        let [n, m] = read_dims(&mut lines, ["rows", "inputs"])?;
+        let points = read_rows(&mut lines, "x", n, m)?;
+        let outputs = read_row(&mut lines, "y", n)?;
         Ok(Self {
             dim: m,
             points,
@@ -313,9 +266,7 @@ impl RegressionTree {
     }
 }
 
-impl PhaseModel for RegressionTree {
-    const KIND: &'static str = "tree";
-
+impl SeededModel for RegressionTree {
     fn train(examples: &[(Vec<f64>, f64)], _seed: u64) -> Self {
         assert!(!examples.is_empty(), "cannot train on an empty example set");
         let dim = examples[0].0.len();
@@ -327,6 +278,17 @@ impl PhaseModel for RegressionTree {
         Self::grow(&mut nodes, examples, &indices, 0);
         Self { dim, nodes }
     }
+}
+
+/// A node link or feature index in a serialized tree.
+fn parse_index(token: Option<&str>) -> Result<usize, PersistError> {
+    token
+        .and_then(|t| t.parse::<usize>().ok())
+        .ok_or(PersistError::BadDimensions)
+}
+
+impl PhaseModel for RegressionTree {
+    const KIND: &'static str = "tree";
 
     fn infer_norm(&self, x: &[f64]) -> f64 {
         assert_eq!(x.len(), self.dim, "input dimension mismatch");
@@ -365,27 +327,19 @@ impl PhaseModel for RegressionTree {
     }
 
     fn from_text(text: &str) -> Result<Self, PersistError> {
-        let mut lines = text.lines().filter(|l| !l.trim().is_empty());
+        let mut lines = content_lines(text);
         expect_header(&mut lines, "tree v1")?;
-        let dims = next_line(&mut lines, "dimensions")?;
-        let mut it = dims.split_whitespace();
-        let (n, m) = match (it.next(), it.next(), it.next(), it.next()) {
-            (Some("nodes"), n, Some("inputs"), m) => (parse_usize(n)?, parse_usize(m)?),
-            _ => return Err(PersistError::BadDimensions),
-        };
-        if n == 0 || m == 0 {
-            return Err(PersistError::BadDimensions);
-        }
+        let [n, m] = read_dims(&mut lines, ["nodes", "inputs"])?;
         let mut nodes = Vec::with_capacity(n);
         for _ in 0..n {
             let line = next_line(&mut lines, "node")?;
             let mut tok = line.split_whitespace();
             match tok.next() {
                 Some("split") => {
-                    let feature = parse_usize(tok.next())?;
-                    let threshold = parse_floats(tok.next().unwrap_or(""), 1)?[0];
-                    let left = parse_usize(tok.next())?;
-                    let right = parse_usize(tok.next())?;
+                    let feature = parse_index(tok.next())?;
+                    let threshold = parse_row(tok.next().unwrap_or(""), 1)?[0];
+                    let left = parse_index(tok.next())?;
+                    let right = parse_index(tok.next())?;
                     if feature >= m || left >= n || right >= n {
                         return Err(PersistError::BadDimensions);
                     }
@@ -397,7 +351,7 @@ impl PhaseModel for RegressionTree {
                     });
                 }
                 Some("leaf") => {
-                    let value = parse_floats(tok.next().unwrap_or(""), 1)?[0];
+                    let value = parse_row(tok.next().unwrap_or(""), 1)?[0];
                     nodes.push(TreeNode::Leaf { value });
                 }
                 _ => return Err(PersistError::UnexpectedEnd { expected: "node" }),
@@ -437,9 +391,7 @@ fn quantize(v: f64) -> i32 {
     q.clamp(f64::from(i32::MIN), f64::from(i32::MAX)) as i32
 }
 
-impl PhaseModel for MlpQ16 {
-    const KIND: &'static str = "mlp";
-
+impl SeededModel for MlpQ16 {
     fn train(examples: &[(Vec<f64>, f64)], seed: u64) -> Self {
         assert!(!examples.is_empty(), "cannot train on an empty example set");
         let m = examples[0].0.len();
@@ -504,6 +456,10 @@ impl PhaseModel for MlpQ16 {
             b2: quantize(b2),
         }
     }
+}
+
+impl PhaseModel for MlpQ16 {
+    const KIND: &'static str = "mlp";
 
     fn infer_norm(&self, x: &[f64]) -> f64 {
         assert_eq!(x.len(), self.inputs, "input dimension mismatch");
@@ -535,19 +491,8 @@ impl PhaseModel for MlpQ16 {
         out.push_str("mlp v1\n");
         out.push_str(&format!("inputs {m} hidden {MLP_HIDDEN}\n"));
         for row in self.w1.chunks_exact(m) {
-            out.push_str("w1");
-            for v in row {
-                out.push_str(&format!(" {v}"));
-            }
-            out.push('\n');
+            dump_ints(&mut out, "w1", row);
         }
-        let dump_ints = |out: &mut String, prefix: &str, vals: &[i32]| {
-            out.push_str(prefix);
-            for v in vals {
-                out.push_str(&format!(" {v}"));
-            }
-            out.push('\n');
-        };
         dump_ints(&mut out, "b1", &self.b1);
         dump_ints(&mut out, "w2", &self.w2);
         dump_ints(&mut out, "b2", &[self.b2]);
@@ -555,31 +500,16 @@ impl PhaseModel for MlpQ16 {
     }
 
     fn from_text(text: &str) -> Result<Self, PersistError> {
-        let mut lines = text.lines().filter(|l| !l.trim().is_empty());
+        let mut lines = content_lines(text);
         expect_header(&mut lines, "mlp v1")?;
-        let dims = next_line(&mut lines, "dimensions")?;
-        let mut it = dims.split_whitespace();
-        let (m, h) = match (it.next(), it.next(), it.next(), it.next()) {
-            (Some("inputs"), m, Some("hidden"), h) => (parse_usize(m)?, parse_usize(h)?),
-            _ => return Err(PersistError::BadDimensions),
-        };
-        if m == 0 || h != MLP_HIDDEN {
+        let [m, h] = read_dims(&mut lines, ["inputs", "hidden"])?;
+        if h != MLP_HIDDEN {
             return Err(PersistError::BadDimensions);
         }
-        let mut read_row = |prefix: &'static str, want: usize| -> Result<Vec<i32>, PersistError> {
-            let line = next_line(&mut lines, prefix)?;
-            let rest = line
-                .strip_prefix(prefix)
-                .ok_or(PersistError::UnexpectedEnd { expected: prefix })?;
-            parse_ints(rest, want)
-        };
-        let mut w1 = Vec::with_capacity(h * m);
-        for _ in 0..h {
-            w1.extend(read_row("w1", m)?);
-        }
-        let b1 = read_row("b1", h)?;
-        let w2 = read_row("w2", h)?;
-        let b2 = read_row("b2", 1)?[0];
+        let w1 = read_rows(&mut lines, "w1", h, m)?;
+        let b1 = read_row(&mut lines, "b1", h)?;
+        let w2 = read_row(&mut lines, "w2", h)?;
+        let b2 = read_row(&mut lines, "b2", 1)?[0];
         Ok(Self {
             inputs: m,
             w1,
@@ -598,12 +528,17 @@ impl PhaseModel for MlpQ16 {
 /// models, each with the normalizer it was trained under.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LearnedBank<M> {
-    norm_freq: Normalizer,
-    freq: M,
+    pub(crate) norm_freq: Normalizer,
+    pub(crate) freq: M,
     norm_vdd: Normalizer,
     vdd: M,
     norm_vbb: Normalizer,
     vbb: M,
+}
+
+/// One role's prediction on raw inputs: normalize, infer, denormalize.
+fn infer<M: PhaseModel>(norm: &Normalizer, model: &M, raw: &[f64]) -> f64 {
+    norm.denormalize_output(model.infer_norm(&norm.normalize(raw)))
 }
 
 /// Section separator inside serialized banks.
@@ -629,14 +564,27 @@ fn split_sections(text: &str, want: usize) -> Result<Vec<String>, PersistError> 
     Ok(out)
 }
 
-impl<M: PhaseModel> LearnedBank<M> {
-    /// Trains all three models of one bank from a teacher example set.
-    /// The salts mirror the fuzzy trainer's per-role seeds.
+impl<M: SeededModel> LearnedBank<M> {
+    /// Trains all three models of one bank from a teacher example set,
+    /// each under `seed` salted per role (`0x11` for `Freq`, `0x22` for
+    /// `Vdd`, `0x33` for `Vbb`).
     pub fn train(ex: &TeacherExamples, seed: u64) -> Self {
+        Self::fit(ex, seed, M::train)
+    }
+}
+
+impl<M: PhaseModel> LearnedBank<M> {
+    /// The one bank fitter: normalizes each role's examples and hands
+    /// them to `train` with the per-role seed, `Freq` then `Vdd` then
+    /// `Vbb`.
+    pub(crate) fn fit(
+        ex: &TeacherExamples,
+        seed: u64,
+        train: impl Fn(&[(Vec<f64>, f64)], u64) -> M,
+    ) -> Self {
         let fit = |examples: &[(Vec<f64>, f64)], salt: u64| -> (Normalizer, M) {
             let norm = Normalizer::fit(examples);
-            let normalized = norm.apply(examples);
-            let model = M::train(&normalized, seed ^ salt);
+            let model = train(&norm.apply(examples), seed ^ salt);
             (norm, model)
         };
         let (norm_freq, freq) = fit(&ex.freq, 0x11);
@@ -650,21 +598,6 @@ impl<M: PhaseModel> LearnedBank<M> {
             norm_vbb,
             vbb,
         }
-    }
-
-    fn infer_freq(&self, raw: &[f64]) -> f64 {
-        let x = self.norm_freq.normalize(raw);
-        self.norm_freq.denormalize_output(self.freq.infer_norm(&x))
-    }
-
-    fn infer_vdd(&self, raw: &[f64]) -> f64 {
-        let x = self.norm_vdd.normalize(raw);
-        self.norm_vdd.denormalize_output(self.vdd.infer_norm(&x))
-    }
-
-    fn infer_vbb(&self, raw: &[f64]) -> f64 {
-        let x = self.norm_vbb.normalize(raw);
-        self.norm_vbb.denormalize_output(self.vbb.infer_norm(&x))
     }
 
     /// Serializes the bank: six `%%`-terminated sections (normalizer
@@ -704,9 +637,10 @@ impl<M: PhaseModel> LearnedBank<M> {
     }
 }
 
-/// A deployable learned optimizer: one [`LearnedBank`] per (subsystem,
-/// variant), inference identical in shape to the fuzzy optimizer's
-/// (ladder snapping, `asv`/`abb` gating, slot-0 fallback).
+/// A deployable trained optimizer: one [`LearnedBank`] per (subsystem,
+/// variant), with ladder snapping, `asv`/`abb` gating and slot-0
+/// fallback. The paper's fuzzy optimizer is the `FuzzyController`
+/// instantiation ([`FuzzyOptimizer`](crate::FuzzyOptimizer)).
 #[derive(Debug, Clone, PartialEq)]
 pub struct LearnedOptimizer<M> {
     env: Environment,
@@ -736,8 +670,8 @@ impl<M: PhaseModel> LearnedOptimizer<M> {
         self.banks[id.index()][alt as usize]
             .as_ref()
             .or(self.banks[id.index()][0].as_ref())
-            // lint:allow(panic-safety): the zoo trains slot 0 for every
-            // subsystem id before a LearnedOptimizer is handed out.
+            // lint:allow(panic-safety): the teacher sweep fills slot 0
+            // for every subsystem id, and from_text rejects a missing one.
             .expect("bank trained for every subsystem")
     }
 
@@ -773,38 +707,16 @@ impl<M: PhaseModel> LearnedOptimizer<M> {
     /// Returns [`PersistError`] on malformed input or an environment
     /// mismatch.
     pub fn from_text(env: Environment, text: &str) -> Result<Self, PersistError> {
-        let mut lines = text.lines().filter(|l| !l.trim().is_empty()).peekable();
-        match lines.next() {
-            Some(l) if l.trim() == "learned-optimizer v1" => {}
-            _ => return Err(PersistError::BadHeader),
-        }
-        let scheme = lines.next().ok_or(PersistError::BadHeader)?;
-        if scheme.trim() != format!("scheme {}", M::KIND) {
-            return Err(PersistError::BadHeader);
-        }
-        let env_line = lines.next().ok_or(PersistError::BadHeader)?;
-        if env_line.trim() != format!("env {}", env.name) {
-            return Err(PersistError::BadHeader);
-        }
-        let banks_line = lines.next().ok_or(PersistError::UnexpectedEnd {
-            expected: "bank count",
-        })?;
-        let n = match banks_line.trim().strip_prefix("banks ") {
-            Some(rest) => rest
-                .parse::<usize>()
-                .map_err(|_| PersistError::BadDimensions)?,
-            None => return Err(PersistError::BadDimensions),
-        };
-        if n == 0 {
-            return Err(PersistError::BadDimensions);
-        }
+        let mut lines = content_lines(text);
+        expect_header(&mut lines, "learned-optimizer v1")?;
+        expect_header(&mut lines, &format!("scheme {}", M::KIND))?;
+        expect_header(&mut lines, &format!("env {}", env.name))?;
+        let [n] = read_dims(&mut lines, ["banks"])?;
         let mut banks: Vec<[Option<LearnedBank<M>>; 2]> = Vec::with_capacity(n);
         for i in 0..n {
             let mut slots: [Option<LearnedBank<M>>; 2] = [None, None];
             for (s, slot) in slots.iter_mut().enumerate() {
-                let marker = lines.next().ok_or(PersistError::UnexpectedEnd {
-                    expected: "bank marker",
-                })?;
+                let marker = next_line(&mut lines, "bank marker")?;
                 let mut tok = marker.split_whitespace();
                 let ok = tok.next() == Some("bank")
                     && tok.next() == Some(i.to_string().as_str())
@@ -822,9 +734,7 @@ impl<M: PhaseModel> LearnedOptimizer<M> {
                         let mut body = String::new();
                         let mut marks = 0;
                         while marks < 6 {
-                            let line = lines.next().ok_or(PersistError::UnexpectedEnd {
-                                expected: "bank body",
-                            })?;
+                            let line = next_line(&mut lines, "bank body")?;
                             if line.trim() == SECTION_MARK {
                                 marks += 1;
                             }
@@ -862,7 +772,7 @@ impl<M: PhaseModel> Optimizer for LearnedOptimizer<M> {
 
     fn freq_max(&self, _config: &EvalConfig, scene: &SubsystemScene<'_>) -> f64 {
         let bank = self.lookup(scene);
-        let raw = bank.infer_freq(&[scene.th_c, scene.alpha_f, scene.rho]);
+        let raw = infer(&bank.norm_freq, &bank.freq, &[scene.th_c, scene.alpha_f, scene.rho]);
         FREQ_LADDER.nearest(raw)
     }
 
@@ -875,12 +785,12 @@ impl<M: PhaseModel> Optimizer for LearnedOptimizer<M> {
         let bank = self.lookup(scene);
         let inputs = [scene.th_c, scene.alpha_f, scene.rho, f_core];
         let vdd = if scene.env.asv {
-            VDD_LADDER.nearest(bank.infer_vdd(&inputs))
+            VDD_LADDER.nearest(infer(&bank.norm_vdd, &bank.vdd, &inputs))
         } else {
             1.0
         };
         let vbb = if scene.env.abb {
-            VBB_LADDER.nearest(bank.infer_vbb(&inputs))
+            VBB_LADDER.nearest(infer(&bank.norm_vbb, &bank.vbb, &inputs))
         } else {
             0.0
         };
@@ -903,7 +813,7 @@ mod tests {
             .collect()
     }
 
-    fn check_fit<M: PhaseModel>(tol: f64) {
+    fn check_fit<M: SeededModel>(tol: f64) {
         let ex = toy_examples(200);
         let model = M::train(&ex, 42);
         let mut sse = 0.0;
@@ -930,7 +840,7 @@ mod tests {
         check_fit::<MlpQ16>(0.12);
     }
 
-    fn check_round_trip<M: PhaseModel>() {
+    fn check_round_trip<M: SeededModel>() {
         let ex = toy_examples(120);
         let model = M::train(&ex, 7);
         let back = M::from_text(&model.to_text()).expect("parses");

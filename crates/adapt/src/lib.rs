@@ -13,7 +13,10 @@
 //! * [`ExhaustiveOptimizer`] — grid search over the actuator ladders (the
 //!   oracle used offline by the manufacturer);
 //! * [`FuzzyOptimizer`] — per-subsystem fuzzy controllers trained against
-//!   the exhaustive oracle (the deployable software controller).
+//!   the exhaustive oracle (the deployable software controller). It is
+//!   the fuzzy instantiation of [`LearnedOptimizer`], the one type every
+//!   trained controller (fuzzy, nn-table, tree, MLP) decides, persists
+//!   and fingerprints through.
 //!
 //! On top of those sit the structure-choice rules of §4.2 (FU replication
 //! per Figure 4, issue-queue resizing by estimated performance), the

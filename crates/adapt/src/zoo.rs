@@ -5,8 +5,10 @@
 //! per (subsystem, variant) bank and trains the fuzzy, nearest-neighbor,
 //! tree, and MLP banks from the *same* examples — so every family sees
 //! an identical curriculum and the fuzzy controllers stay bit-identical
-//! to [`FuzzyOptimizer::train_traced`]. Every member is a plain
-//! [`Optimizer`](crate::optimizer::Optimizer); decisions go through
+//! to [`FuzzyOptimizer::train_traced`]. Every member is a
+//! [`LearnedOptimizer`] (the fuzzy one over
+//! [`FuzzyController`](eval_fuzzy::FuzzyController)), so all four
+//! persist and fingerprint alike; decisions go through
 //! [`decide_phase_traced`](crate::controller::decide_phase_traced) like
 //! any other backend (the tournament's contestant table is
 //! [`crate::tournament::contestants`]).
@@ -133,7 +135,9 @@ mod tests {
         let standalone =
             FuzzyOptimizer::train(&cfg, &chip, 0, Environment::TS_ASV, &budget);
         // Identical RNG stream and training seeds mean identical
-        // controllers; compare through inference on a grid of scenes.
+        // controllers, field for field and through inference on a grid
+        // of scenes.
+        assert_eq!(zoo.fuzzy, standalone);
         let pe_budget = cfg.constraints.pe_budget_per_subsystem(N_SUBSYSTEMS);
         for id in SubsystemId::ALL {
             for th in [48.0, 60.0, 70.0] {
@@ -261,6 +265,12 @@ mod tests {
         assert!(LearnedOptimizer::<MlpQ16>::from_text(Environment::TS, &text).is_err());
         // Wrong model family is caught by the scheme header.
         assert!(LearnedOptimizer::<NnTable>::from_text(Environment::TS_ASV, &text).is_err());
+        // The fuzzy member persists through the same generic path.
+        let f = zoo.fuzzy.to_text();
+        let back = FuzzyOptimizer::from_text(Environment::TS_ASV, &f).expect("parses");
+        assert_eq!(zoo.fuzzy, back);
+        assert_eq!(zoo.fuzzy.fingerprint(), back.fingerprint());
+        assert!(LearnedOptimizer::<NnTable>::from_text(Environment::TS_ASV, &f).is_err());
         // And the tree round-trips too.
         let t = zoo.tree.to_text();
         assert_eq!(

@@ -336,11 +336,11 @@ impl TraceSession {
             _ => None,
         };
         if let Some(path) = &self.metrics_path {
-            eval_obs::write_prometheus(&registry, path)?;
-            let bytes = std::fs::read(path)?;
-            let prov =
-                eval_trace::Provenance::capture("metrics-prom").with_content_address(&bytes);
-            eval_trace::provenance::append_journal(path, &prov)?;
+            eval_trace::provenance::write_atomic_stamped(
+                path,
+                eval_obs::prometheus(&registry).as_bytes(),
+                "metrics-prom",
+            )?;
         }
         println!();
         println!("{summary}");

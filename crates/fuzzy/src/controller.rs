@@ -17,9 +17,9 @@
 #[derive(Debug, Clone, PartialEq)]
 pub struct FuzzyController {
     inputs: usize,
-    mu: Vec<f64>,
-    sigma: Vec<f64>,
-    y: Vec<f64>,
+    pub(crate) mu: Vec<f64>,
+    pub(crate) sigma: Vec<f64>,
+    pub(crate) y: Vec<f64>,
 }
 
 impl FuzzyController {

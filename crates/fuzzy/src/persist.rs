@@ -15,9 +15,16 @@
 //! sigma <m floats>     (n lines)
 //! y <n floats>
 //! ```
+//!
+//! Every versioned format in the workspace (this one, the
+//! [`Normalizer`](crate::Normalizer)'s, and the learned models' in
+//! `eval-adapt`) is built from the same codec: a header line, a
+//! `<key> <count>` dimension line ([`read_dims`]) and prefixed number
+//! rows ([`read_row`], [`dump_floats`], [`dump_ints`]).
 
 use std::fmt;
 use std::num::ParseFloatError;
+use std::str::FromStr;
 
 use crate::controller::FuzzyController;
 
@@ -64,20 +71,143 @@ impl From<ParseFloatError> for PersistError {
     }
 }
 
-pub(crate) fn parse_floats(line: &str, want: usize) -> Result<Vec<f64>, PersistError> {
-    let vals: Result<Vec<f64>, _> = line
+/// The non-blank lines of a serialized artifact, the unit every codec
+/// in this module reads.
+pub fn content_lines(text: &str) -> impl Iterator<Item = &str> {
+    text.lines().filter(|l| !l.trim().is_empty())
+}
+
+/// Takes the next line, or reports which section was cut off.
+///
+/// # Errors
+///
+/// [`PersistError::UnexpectedEnd`] when `lines` is exhausted.
+pub fn next_line<'a>(
+    lines: &mut impl Iterator<Item = &'a str>,
+    expected: &'static str,
+) -> Result<&'a str, PersistError> {
+    lines.next().ok_or(PersistError::UnexpectedEnd { expected })
+}
+
+/// Checks that the next line is exactly `header` (surrounding
+/// whitespace aside): the format name and version.
+///
+/// # Errors
+///
+/// [`PersistError::BadHeader`] on a missing or different line.
+pub fn expect_header<'a>(
+    lines: &mut impl Iterator<Item = &'a str>,
+    header: &str,
+) -> Result<(), PersistError> {
+    match lines.next() {
+        Some(l) if l.trim() == header => Ok(()),
+        _ => Err(PersistError::BadHeader),
+    }
+}
+
+/// Reads a `<key> <count> [<key> <count> ...]` dimension line with
+/// exactly `keys`, in order; every count must be a positive integer.
+///
+/// # Errors
+///
+/// [`PersistError::UnexpectedEnd`] when the line is missing,
+/// [`PersistError::BadDimensions`] for any other mismatch.
+pub fn read_dims<'a, const N: usize>(
+    lines: &mut impl Iterator<Item = &'a str>,
+    keys: [&str; N],
+) -> Result<[usize; N], PersistError> {
+    let line = next_line(lines, "dimensions")?;
+    let mut tok = line.split_whitespace();
+    let mut dims = [0; N];
+    for (dim, key) in dims.iter_mut().zip(keys) {
+        if tok.next() != Some(key) {
+            return Err(PersistError::BadDimensions);
+        }
+        *dim = tok
+            .next()
+            .and_then(|t| t.parse::<usize>().ok())
+            .filter(|&n| n > 0)
+            .ok_or(PersistError::BadDimensions)?;
+    }
+    match tok.next() {
+        None => Ok(dims),
+        Some(_) => Err(PersistError::BadDimensions),
+    }
+}
+
+/// Parses exactly `want` whitespace-separated numbers.
+///
+/// # Errors
+///
+/// [`PersistError::BadNumber`] on an unparsable token,
+/// [`PersistError::BadDimensions`] on the wrong count.
+pub fn parse_row<T: FromStr>(line: &str, want: usize) -> Result<Vec<T>, PersistError> {
+    let vals = line
         .split_whitespace()
         .map(|t| {
-            t.parse::<f64>().map_err(|_| PersistError::BadNumber {
+            t.parse::<T>().map_err(|_| PersistError::BadNumber {
                 token: t.to_string(),
             })
         })
-        .collect();
-    let vals = vals?;
+        .collect::<Result<Vec<T>, _>>()?;
     if vals.len() != want {
         return Err(PersistError::BadDimensions);
     }
     Ok(vals)
+}
+
+/// Reads one `<prefix> <want numbers>` row.
+///
+/// # Errors
+///
+/// [`PersistError::UnexpectedEnd`] naming `prefix` when the line is
+/// missing or starts otherwise; [`parse_row`]'s errors for the numbers.
+pub fn read_row<'a, T: FromStr>(
+    lines: &mut impl Iterator<Item = &'a str>,
+    prefix: &'static str,
+    want: usize,
+) -> Result<Vec<T>, PersistError> {
+    let rest = next_line(lines, prefix)?
+        .strip_prefix(prefix)
+        .ok_or(PersistError::UnexpectedEnd { expected: prefix })?;
+    parse_row(rest, want)
+}
+
+/// Reads `rows` consecutive [`read_row`] rows into one row-major vector.
+///
+/// # Errors
+///
+/// As [`read_row`].
+pub fn read_rows<'a, T: FromStr>(
+    lines: &mut impl Iterator<Item = &'a str>,
+    prefix: &'static str,
+    rows: usize,
+    cols: usize,
+) -> Result<Vec<T>, PersistError> {
+    let mut data = Vec::with_capacity(rows * cols);
+    for _ in 0..rows {
+        data.extend(read_row(lines, prefix, cols)?);
+    }
+    Ok(data)
+}
+
+/// Appends a `<prefix> <floats>` row; `{:e}` keeps every finite value
+/// bit-exact through [`read_row`].
+pub fn dump_floats(out: &mut String, prefix: &str, vals: &[f64]) {
+    out.push_str(prefix);
+    for v in vals {
+        out.push_str(&format!(" {v:e}"));
+    }
+    out.push('\n');
+}
+
+/// Appends a `<prefix> <integers>` row.
+pub fn dump_ints(out: &mut String, prefix: &str, vals: &[i32]) {
+    out.push_str(prefix);
+    for v in vals {
+        out.push_str(&format!(" {v}"));
+    }
+    out.push('\n');
 }
 
 impl FuzzyController {
@@ -91,22 +221,13 @@ impl FuzzyController {
         let mut out = String::with_capacity(64 + n * m * 26);
         out.push_str("fuzzy-controller v1\n");
         out.push_str(&format!("rules {n} inputs {m}\n"));
-        let dump_matrix = |out: &mut String, name: &str, get: &dyn Fn(usize, usize) -> f64| {
-            for i in 0..n {
-                out.push_str(name);
-                for j in 0..m {
-                    out.push_str(&format!(" {:e}", get(i, j)));
-                }
-                out.push('\n');
-            }
-        };
-        dump_matrix(&mut out, "mu", &|i, j| self.mu_at(i, j));
-        dump_matrix(&mut out, "sigma", &|i, j| self.sigma_at(i, j));
-        out.push('y');
-        for i in 0..n {
-            out.push_str(&format!(" {:e}", self.outputs()[i]));
+        for row in self.mu.chunks_exact(m) {
+            dump_floats(&mut out, "mu", row);
         }
-        out.push('\n');
+        for row in self.sigma.chunks_exact(m) {
+            dump_floats(&mut out, "sigma", row);
+        }
+        dump_floats(&mut out, "y", &self.y);
         out
     }
 
@@ -116,47 +237,12 @@ impl FuzzyController {
     ///
     /// Returns [`PersistError`] on malformed input.
     pub fn from_text(text: &str) -> Result<FuzzyController, PersistError> {
-        let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-        let header = lines.next().ok_or(PersistError::BadHeader)?;
-        if header.trim() != "fuzzy-controller v1" {
-            return Err(PersistError::BadHeader);
-        }
-        let dims = lines.next().ok_or(PersistError::UnexpectedEnd {
-            expected: "dimensions",
-        })?;
-        let mut it = dims.split_whitespace();
-        let (n, m) = match (it.next(), it.next(), it.next(), it.next()) {
-            (Some("rules"), Some(n), Some("inputs"), Some(m)) => (
-                n.parse::<usize>().map_err(|_| PersistError::BadDimensions)?,
-                m.parse::<usize>().map_err(|_| PersistError::BadDimensions)?,
-            ),
-            _ => return Err(PersistError::BadDimensions),
-        };
-        if n == 0 || m == 0 {
-            return Err(PersistError::BadDimensions);
-        }
-        let mut read_matrix = |prefix: &'static str| -> Result<Vec<f64>, PersistError> {
-            let mut data = Vec::with_capacity(n * m);
-            for _ in 0..n {
-                let line = lines.next().ok_or(PersistError::UnexpectedEnd {
-                    expected: prefix,
-                })?;
-                let rest = line
-                    .strip_prefix(prefix)
-                    .ok_or(PersistError::UnexpectedEnd { expected: prefix })?;
-                data.extend(parse_floats(rest, m)?);
-            }
-            Ok(data)
-        };
-        let mu = read_matrix("mu")?;
-        let sigma = read_matrix("sigma")?;
-        let y_line = lines.next().ok_or(PersistError::UnexpectedEnd {
-            expected: "outputs",
-        })?;
-        let rest = y_line
-            .strip_prefix('y')
-            .ok_or(PersistError::UnexpectedEnd { expected: "outputs" })?;
-        let y = parse_floats(rest, n)?;
+        let mut lines = content_lines(text);
+        expect_header(&mut lines, "fuzzy-controller v1")?;
+        let [n, m] = read_dims(&mut lines, ["rules", "inputs"])?;
+        let mu = read_rows(&mut lines, "mu", n, m)?;
+        let sigma: Vec<f64> = read_rows(&mut lines, "sigma", n, m)?;
+        let y = read_row(&mut lines, "y", n)?;
         if !sigma.iter().all(|&s| s > 0.0) {
             return Err(PersistError::BadDimensions);
         }

@@ -86,17 +86,6 @@ pub fn prometheus(registry: &Registry) -> String {
     out
 }
 
-/// Writes the snapshot to `path` (the `--metrics-out` target),
-/// atomically: a scraper (or `eval-obs serve`) re-reading the file mid
-/// write sees the old complete snapshot, never a torn one.
-///
-/// # Errors
-///
-/// Propagates the I/O error when the file cannot be written.
-pub fn write_prometheus(registry: &Registry, path: &Path) -> std::io::Result<()> {
-    eval_trace::write_atomic(path, prometheus(registry).as_bytes())
-}
-
 /// A minimal scrape endpoint over `std::net` (no HTTP dependency).
 #[derive(Debug)]
 pub struct MetricsServer {

@@ -51,7 +51,7 @@ pub use bench_check::{
     append_history, check, check_distribution, load_history, parse_history, BenchFile,
     CheckReport, GateMode, GateOptions, HistoryRecord, Tolerances,
 };
-pub use expose::{prometheus, write_prometheus, MetricsServer};
+pub use expose::{prometheus, MetricsServer};
 pub use json::{Json, JsonError};
 pub use postmortem::{parse_bundle, Bundle, FlightLine};
 pub use profile::Profile;

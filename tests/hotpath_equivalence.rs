@@ -29,6 +29,9 @@ fn scene(state: &eval::core::chip::SubsystemState, env: Environment) -> Subsyste
     }
 }
 
+/// A grid point's `(f_idx, vdd bits, vbb bits)` key with its result bits.
+type KeyedBits = ((usize, u64, u64), (u64, u64, bool));
+
 fn result_bits(r: Option<(f64, f64)>) -> (u64, u64, bool) {
     match r {
         Some((p, t)) => (p.to_bits(), t.to_bits(), true),
@@ -178,7 +181,7 @@ fn query_order_does_not_change_cached_answers() {
             }
         }
     }
-    let sweep = |order: &[(usize, f64, f64)]| -> Vec<((usize, u64, u64), (u64, u64, bool))> {
+    let sweep = |order: &[(usize, f64, f64)]| -> Vec<KeyedBits> {
         let mut cache = SolveCache::new();
         let mut out: Vec<_> = order
             .iter()
@@ -189,7 +192,7 @@ fn query_order_does_not_change_cached_answers() {
                 )
             })
             .collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
+        out.sort_by_key(|a| a.0);
         out
     };
 
