@@ -9,17 +9,43 @@
 //! search verifies the previous `(Vdd, Vbb)` pair's answer as a first
 //! guess before falling back to bisection — adjacent ladder settings
 //! almost always share their feasibility frontier within a step or two.
+//!
+//! Both searches also skip candidates that a cheap, solve-free bound
+//! proves cannot beat the best pair so far (DESIGN §11). The power
+//! search skips a pair whose `Pdyn + Psta(T = TH)` exceeds the best
+//! power, and stops at the first supply whose `Pdyn` alone does. Under
+//! ABB the frequency search rejects a whole `Vbb` row on one error-rate
+//! test (`SceneEval::row_infeasible_from`). Every bound is admissible
+//! and compared with a relative slack, so answers are unchanged bit for
+//! bit; only the work done and the cache hit counts move.
 //
 // lint:hot-path — this module is on the operating-point fast path; the
 // no-alloc-in-check rule forbids Vec construction outside tests here.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 
 use eval_core::{EvalConfig, FREQ_LADDER};
 use eval_power::{BatchScratch, SolveCache, MAX_BATCH};
 use eval_trace::{names, Tracer};
 
-use crate::optimizer::{Optimizer, SceneEval, SubsystemScene};
+use crate::optimizer::{bound_exceeds, Optimizer, SceneEval, SubsystemScene};
+
+/// Work the admissible bounds saved, flushed as the
+/// `oracle.pruned.rows` / `oracle.pruned.pairs` metrics.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct PruneStats {
+    /// Whole `Vbb` rows skipped without evaluating any pair.
+    rows: u64,
+    /// `(Vdd, Vbb)` pairs skipped, those of skipped rows included.
+    pairs: u64,
+}
+
+impl PruneStats {
+    fn skip_rows(&mut self, rows: usize, row_len: usize) {
+        self.rows += rows as u64;
+        self.pairs += (rows * row_len) as u64;
+    }
+}
 
 /// Exhaustive grid search over `(f, Vdd, Vbb)`.
 ///
@@ -33,11 +59,13 @@ use crate::optimizer::{Optimizer, SceneEval, SubsystemScene};
 /// point, so sharing or not sharing an instance cannot change any result
 /// — only the hit rate. The `RefCell`s keep the query methods `&self`;
 /// instances are per-thread by construction (one per campaign sweep unit
-/// or training run).
+/// or training run). A `Cell` accumulates the pruning counts until
+/// [`Optimizer::flush_metrics`] drains them.
 #[derive(Debug, Clone, Default)]
 pub struct ExhaustiveOptimizer {
     cache: RefCell<SolveCache>,
     scratch: RefCell<BatchScratch>,
+    pruned: Cell<PruneStats>,
 }
 
 impl ExhaustiveOptimizer {
@@ -178,15 +206,28 @@ impl Optimizer for ExhaustiveOptimizer {
         let cache = &mut *self.cache.borrow_mut();
         let scratch = &mut *self.scratch.borrow_mut();
         let n = FREQ_LADDER.len();
+        let vbbs = scene.vbb_options();
+        // Single-Vbb rows (no ABB) have no range to bound over and skip
+        // the row bound. Ladders are ascending.
+        let vt0_max = (vbbs.len() > 1).then(|| eval.max_cell_vt0());
+        let mut pruned = self.pruned.get();
         let mut best: Option<usize> = None;
         let mut hint: Option<usize> = None;
-        // Scan the supply ladder from the top: the highest Vdd usually
-        // holds the highest feasible frequency, so the first pair sets a
-        // `best` that rejects most remaining pairs on a single bounded
-        // floor probe. The result is a max over all pairs either way —
-        // scan order only affects how much work pruning saves.
+        // Scan both ladders from the top: the highest Vdd and Vbb usually
+        // hold the highest feasible frequency, so the first pairs set a
+        // `best` that rejects most remaining rows on one solve-free bound
+        // and most remaining pairs on a single bounded floor probe. The
+        // result is a max over all pairs either way — scan order only
+        // affects how much work pruning saves.
         for &vdd in scene.vdd_options().iter().rev() {
-            for &vbb in scene.vbb_options() {
+            let floor = best.map_or(0, |b| (b + 1).min(n - 1));
+            if vt0_max.is_some_and(|vt0| {
+                eval.row_infeasible_from(floor, vdd, vbbs[0], vbbs[vbbs.len() - 1], vt0)
+            }) {
+                pruned.skip_rows(1, vbbs.len());
+                continue;
+            }
+            for &vbb in vbbs.iter().rev() {
                 let floor = best.map_or(0, |b| (b + 1).min(n - 1));
                 if let Some(idx) = Self::fmax_index_at(&eval, cache, scratch, vdd, vbb, floor, hint)
                 {
@@ -197,6 +238,7 @@ impl Optimizer for ExhaustiveOptimizer {
                 }
             }
         }
+        self.pruned.set(pruned);
         FREQ_LADDER.at(best.unwrap_or(0))
     }
 
@@ -210,21 +252,46 @@ impl Optimizer for ExhaustiveOptimizer {
         let cache = &mut *self.cache.borrow_mut();
         let scratch = &mut *self.scratch.borrow_mut();
         let f_idx = FREQ_LADDER.index_of(f_core);
+        let f_ghz = f_idx.map_or(f_core, |i| FREQ_LADDER.at(i));
+        let vdds = scene.vdd_options();
+        let vbbs = scene.vbb_options();
+        let mut pruned = self.pruned.get();
+        // A pair is skipped when its solve-free power lower bound already
+        // exceeds the best power found so far (see
+        // `SceneEval::power_lower_bound`); such a pair cannot replace it.
+        let beaten = |best: Option<(f64, f64, f64)>, bound: f64| {
+            best.is_some_and(|(bp, _, _)| bound_exceeds(bound, bp))
+        };
         let mut best: Option<(f64, f64, f64)> = None; // (power, vdd, vbb)
-        for &vdd in scene.vdd_options() {
+        for (row, &vdd) in vdds.iter().enumerate() {
+            // Dynamic power alone rises with Vdd: once it exceeds the
+            // best power, no higher supply can win either.
+            if beaten(best, eval.pdyn_w(f_ghz, vdd)) {
+                pruned.skip_rows(vdds.len() - row, vbbs.len());
+                break;
+            }
             match f_idx {
-                // On-ladder core frequency: evaluate the whole Vbb row of
-                // this supply setting as one struct-of-arrays batch.
+                // On-ladder core frequency: evaluate the surviving lanes
+                // of this supply setting's Vbb row as one struct-of-arrays
+                // batch.
                 Some(i) => {
-                    let vbbs = scene.vbb_options();
                     let mut lanes = [(0usize, 0.0, 0.0); MAX_BATCH];
-                    for (k, &vbb) in vbbs.iter().enumerate() {
-                        lanes[k] = (i, vdd, vbb);
+                    let mut width = 0;
+                    for &vbb in vbbs {
+                        if beaten(best, eval.power_lower_bound(f_ghz, vdd, vbb)) {
+                            pruned.pairs += 1;
+                        } else {
+                            lanes[width] = (i, vdd, vbb);
+                            width += 1;
+                        }
+                    }
+                    if width == 0 {
+                        continue;
                     }
                     let mut out = [None; MAX_BATCH];
-                    eval.check_batch(cache, &lanes[..vbbs.len()], scratch, &mut out);
-                    for (k, &vbb) in vbbs.iter().enumerate() {
-                        if let Some((p, _t)) = out[k] {
+                    eval.check_batch(cache, &lanes[..width], scratch, &mut out);
+                    for (&(_, _, vbb), result) in lanes[..width].iter().zip(out) {
+                        if let Some((p, _t)) = result {
                             if best.is_none_or(|(bp, _, _)| p < bp) {
                                 best = Some((p, vdd, vbb));
                             }
@@ -232,7 +299,11 @@ impl Optimizer for ExhaustiveOptimizer {
                     }
                 }
                 None => {
-                    for &vbb in scene.vbb_options() {
+                    for &vbb in vbbs {
+                        if beaten(best, eval.power_lower_bound(f_ghz, vdd, vbb)) {
+                            pruned.pairs += 1;
+                            continue;
+                        }
                         if let Some((p, _t)) = eval.check_free(f_core, vdd, vbb) {
                             if best.is_none_or(|(bp, _, _)| p < bp) {
                                 best = Some((p, vdd, vbb));
@@ -242,6 +313,7 @@ impl Optimizer for ExhaustiveOptimizer {
                 }
             }
         }
+        self.pruned.set(pruned);
         match best {
             Some((_, vdd, vbb)) => (vdd, vbb),
             // Nothing feasible at f_core: fall back to the nominal setting
@@ -253,6 +325,13 @@ impl Optimizer for ExhaustiveOptimizer {
     }
 
     fn flush_metrics(&self, tracer: Tracer<'_>) {
+        let pruned = self.pruned.take();
+        if pruned.rows > 0 {
+            tracer.count_n(names::ORACLE_PRUNED_ROWS, pruned.rows);
+        }
+        if pruned.pairs > 0 {
+            tracer.count_n(names::ORACLE_PRUNED_PAIRS, pruned.pairs);
+        }
         let stats = self.cache.borrow_mut().take_stats();
         if stats.hits + stats.misses == 0 {
             return;
@@ -417,9 +496,119 @@ mod tests {
         assert_eq!((vdd, vbb), (1.0, 0.0));
     }
 
+    #[test]
+    fn abb_searches_prune_and_flush_their_counts() {
+        let cfg = factory().config().clone();
+        let chip = factory().chip(2);
+        let opt = ExhaustiveOptimizer::new();
+        let state = chip.core(0).subsystem(SubsystemId::IntAlu);
+        let sc = scene(state, Environment::TS_ABB_ASV);
+        let fmax = opt.freq_max(&cfg, &sc);
+        let after_freq = opt.pruned.get();
+        assert!(after_freq.rows > 0, "no Vbb row rejected: {after_freq:?}");
+        assert_eq!(after_freq.pairs, after_freq.rows * 21);
+        opt.power_settings(&cfg, &sc, (fmax - 0.35).max(FREQ_LADDER.min));
+        opt.power_settings(&cfg, &sc, (fmax - 0.3).max(FREQ_LADDER.min));
+        let total = opt.pruned.get();
+        assert!(
+            total.pairs > after_freq.pairs,
+            "power search pruned nothing"
+        );
+
+        let collector = eval_trace::Collector::new();
+        opt.flush_metrics(Tracer::new(&collector));
+        let registry = collector.registry();
+        assert_eq!(registry.counter(names::ORACLE_PRUNED_ROWS), total.rows);
+        assert_eq!(registry.counter(names::ORACLE_PRUNED_PAIRS), total.pairs);
+        assert_eq!(
+            opt.pruned.get(),
+            PruneStats::default(),
+            "flush drains the counts"
+        );
+    }
+
     mod proptests {
         use super::*;
+        use crate::teacher::{variant_selection_for, ALPHA_RANGE, RHO_RANGE, TH_RANGE};
+        use eval_core::ChipModel;
+        use eval_power::{solve_thermal, OperatingPoint, ThermalEnvironment};
+        use eval_units::Volts;
         use proptest::prelude::*;
+
+        /// A scene over the teacher's sampling domain with every ladder
+        /// enabled.
+        fn abb_scene(
+            chip: &ChipModel,
+            sub: usize,
+            alt: bool,
+            th: f64,
+            alpha: f64,
+            rho: f64,
+        ) -> SubsystemScene<'_> {
+            let id = SubsystemId::ALL[sub];
+            SubsystemScene {
+                state: chip.core(0).subsystem(id),
+                variants: variant_selection_for(id, alt),
+                th_c: th,
+                alpha_f: alpha,
+                rho: rho.max(1e-3),
+                pe_budget: 1e-4 / N_SUBSYSTEMS as f64,
+                env: Environment::TS_ABB_ASV,
+            }
+        }
+
+        /// Largest ladder frequency feasible at any pair under the
+        /// uncached reference check, every grid point visited.
+        fn freq_max_by_full_scan(cfg: &EvalConfig, sc: &SubsystemScene<'_>) -> f64 {
+            let mut best = 0;
+            for &vdd in sc.vdd_options() {
+                for &vbb in sc.vbb_options() {
+                    for i in best + 1..FREQ_LADDER.len() {
+                        if sc
+                            .check_reference(cfg, FREQ_LADDER.at(i), vdd, vbb)
+                            .is_some()
+                        {
+                            best = i;
+                        }
+                    }
+                }
+            }
+            FREQ_LADDER.at(best)
+        }
+
+        /// Lowest-power feasible pair at `f_core`, every pair checked
+        /// with a cold `check_free` solve (nominal when none is).
+        fn power_settings_by_full_grid(
+            cfg: &EvalConfig,
+            sc: &SubsystemScene<'_>,
+            f_core: f64,
+        ) -> (f64, f64) {
+            let eval = SceneEval::new(cfg, sc);
+            let mut best: Option<(f64, f64, f64)> = None;
+            for &vdd in sc.vdd_options() {
+                for &vbb in sc.vbb_options() {
+                    if let Some((p, _)) = eval.check_free(f_core, vdd, vbb) {
+                        if best.is_none_or(|(bp, _, _)| p < bp) {
+                            best = Some((p, vdd, vbb));
+                        }
+                    }
+                }
+            }
+            best.map_or((1.0, 0.0), |(_, vdd, vbb)| (vdd, vbb))
+        }
+
+        /// A factory whose device model has `mu_exp < alpha`: the delay
+        /// of a hot cell may then fall with temperature, so the row
+        /// bound's delay-temperature guard can never hold.
+        fn slow_mobility_factory() -> &'static ChipFactory {
+            static F: OnceLock<ChipFactory> = OnceLock::new();
+            F.get_or_init(|| {
+                let mut cfg = EvalConfig::micro08();
+                cfg.device.mu_exp = 1.2;
+                assert!(cfg.device.mu_exp < cfg.device.alpha);
+                ChipFactory::new(cfg)
+            })
+        }
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(12))]
@@ -450,6 +639,133 @@ mod tests {
                 let fast = opt.freq_max(&cfg, &sc);
                 let reference = opt.freq_max_reference(&cfg, &sc);
                 prop_assert_eq!(fast, reference);
+            }
+
+            /// The power bounds are admissible: neither `Pdyn` (which
+            /// must rise with Vdd) nor `Pdyn + Psta(TH)` exceeds, beyond
+            /// the pruning slack, the power any solve of the pair
+            /// returns — cold at an off-ladder frequency or cached at a
+            /// ladder index, feasible or not.
+            #[test]
+            fn prop_power_lower_bound_is_below_every_solved_power(
+                chip_seed in 1u64..32,
+                sub in 0usize..N_SUBSYSTEMS,
+                alt in proptest::bool::ANY,
+                th in TH_RANGE.0..TH_RANGE.1,
+                alpha in ALPHA_RANGE.0..ALPHA_RANGE.1,
+                f in FREQ_LADDER.min..FREQ_LADDER.max,
+                f_idx in 0usize..FREQ_LADDER.len(),
+            ) {
+                let cfg = factory().config().clone();
+                let chip = factory().chip(chip_seed);
+                let sc = abb_scene(&chip, sub, alt, th, alpha, 1.0);
+                let eval = SceneEval::new(&cfg, &sc);
+                let params = sc.state.power_params(&sc.variants);
+                let tenv = ThermalEnvironment { th_c: th, alpha_f: alpha };
+                let mut cache = SolveCache::new();
+                let f_ladder = FREQ_LADDER.at(f_idx);
+                let vdds = sc.vdd_options();
+                for pair in vdds.windows(2) {
+                    prop_assert!(eval.pdyn_w(f, pair[0]) <= eval.pdyn_w(f, pair[1]));
+                }
+                for &vdd in vdds {
+                    for &vbb in sc.vbb_options() {
+                        let op = OperatingPoint::raw(f, vdd, vbb);
+                        if let Ok(sol) = solve_thermal(&params, &tenv, &op, &cfg.device) {
+                            prop_assert!(!bound_exceeds(eval.pdyn_w(f, vdd), sol.total_w()));
+                            let bound = eval.power_lower_bound(f, vdd, vbb);
+                            prop_assert!(!bound_exceeds(bound, sol.total_w()),
+                                "cold f={} vdd={} vbb={}: bound {} > power {}",
+                                f, vdd, vbb, bound, sol.total_w());
+                        }
+                        let cached = cache.solve_ladder(
+                            &params, &tenv, &cfg.device, f_idx, Volts::raw(vdd), Volts::raw(vbb));
+                        if let Ok(sol) = cached {
+                            let bound = eval.power_lower_bound(f_ladder, vdd, vbb);
+                            prop_assert!(!bound_exceeds(bound, sol.total_w()),
+                                "cached f={} vdd={} vbb={}: bound {} > power {}",
+                                f_ladder, vdd, vbb, bound, sol.total_w());
+                        }
+                    }
+                }
+            }
+
+            /// The row bound is admissible: a `Vbb` row it rejects at a
+            /// floor index has no pair feasible at that index or above
+            /// under the independent reference check. Besides a random
+            /// floor, each row is tested at its own highest feasible
+            /// index, where any overestimate in the bound shows first.
+            #[test]
+            fn prop_rejected_rows_have_no_feasible_pair(
+                chip_seed in 1u64..32,
+                sub in 0usize..N_SUBSYSTEMS,
+                alt in proptest::bool::ANY,
+                th in TH_RANGE.0..TH_RANGE.1,
+                alpha in ALPHA_RANGE.0..ALPHA_RANGE.1,
+                rho in RHO_RANGE.0..RHO_RANGE.1,
+                floor in 0usize..FREQ_LADDER.len(),
+            ) {
+                let cfg = factory().config().clone();
+                let chip = factory().chip(chip_seed);
+                let sc = abb_scene(&chip, sub, alt, th, alpha, rho);
+                let eval = SceneEval::new(&cfg, &sc);
+                let vt0_max = eval.max_cell_vt0();
+                let vbbs = sc.vbb_options();
+                for &vdd in sc.vdd_options() {
+                    let row_best = vbbs
+                        .iter()
+                        .filter_map(|&vbb| {
+                            (0..FREQ_LADDER.len()).rev().find(|&i| {
+                                sc.check_reference(&cfg, FREQ_LADDER.at(i), vdd, vbb).is_some()
+                            })
+                        })
+                        .max();
+                    for at in [Some(floor), row_best].into_iter().flatten() {
+                        let rejected = eval.row_infeasible_from(
+                            at, vdd, vbbs[0], vbbs[vbbs.len() - 1], vt0_max);
+                        prop_assert!(
+                            !rejected || row_best.is_none_or(|b| b < at),
+                            "row vdd={} rejected at index {} but feasible up to {:?}",
+                            vdd, at, row_best
+                        );
+                    }
+                }
+            }
+
+            /// With `mu_exp < alpha` the row bound never fires, and the
+            /// search (power bounds still on) still matches the
+            /// brute-force oracles.
+            #[test]
+            fn prop_mu_exp_below_alpha_disables_row_pruning(
+                chip_seed in 1u64..8,
+                sub in 0usize..N_SUBSYSTEMS,
+                alt in proptest::bool::ANY,
+                th in TH_RANGE.0..TH_RANGE.1,
+                alpha in ALPHA_RANGE.0..ALPHA_RANGE.1,
+                rho in RHO_RANGE.0..RHO_RANGE.1,
+                floor in 0usize..FREQ_LADDER.len(),
+                f_frac in 0.0f64..1.0,
+            ) {
+                let cfg = slow_mobility_factory().config().clone();
+                let chip = slow_mobility_factory().chip(chip_seed);
+                let sc = abb_scene(&chip, sub, alt, th, alpha, rho);
+                let eval = SceneEval::new(&cfg, &sc);
+                let vt0_max = eval.max_cell_vt0();
+                let vbbs = sc.vbb_options();
+                for &vdd in sc.vdd_options() {
+                    let rejected = eval.row_infeasible_from(
+                        floor, vdd, vbbs[0], vbbs[vbbs.len() - 1], vt0_max);
+                    prop_assert!(!rejected, "row vdd={} rejected with mu_exp < alpha", vdd);
+                }
+                let opt = ExhaustiveOptimizer::new();
+                let fmax = opt.freq_max(&cfg, &sc);
+                prop_assert_eq!(fmax, freq_max_by_full_scan(&cfg, &sc));
+                prop_assert_eq!(opt.pruned.get().rows, 0);
+                let f_core = FREQ_LADDER.min + f_frac * (fmax - FREQ_LADDER.min);
+                prop_assert_eq!(
+                    opt.power_settings(&cfg, &sc, f_core),
+                    power_settings_by_full_grid(&cfg, &sc, f_core)
+                );
             }
         }
     }

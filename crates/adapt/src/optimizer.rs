@@ -15,7 +15,20 @@ use eval_power::{
 use eval_timing::StageTiming;
 use eval_trace::Tracer;
 use eval_units::{GHz, Volts};
-use eval_variation::DeviceParams;
+use eval_variation::device::{KELVIN, Q_OVER_K};
+use eval_variation::{leakage_factor, DeviceParams};
+
+/// Relative slack of every pruning comparison in the exhaustive oracle: a
+/// solve-free bound must beat the incumbent by this factor before a
+/// candidate is skipped. It absorbs the rounding in the bound and in the
+/// solve it stands in for, so pruning never changes an answer.
+pub(crate) const PRUNE_SLACK: f64 = 1e-9;
+
+/// Whether the lower bound `bound` proves a candidate cannot undercut
+/// `best`, with [`PRUNE_SLACK`] in the safe direction.
+pub(crate) fn bound_exceeds(bound: f64, best: f64) -> bool {
+    bound > best * (1.0 + PRUNE_SLACK)
+}
 
 /// Everything the per-subsystem `Freq`/`Power` algorithms see about one
 /// subsystem in one phase (the paper's `{TH, Rth, Kdyn, alpha_f, Ksta,
@@ -245,6 +258,128 @@ impl<'a> SceneEval<'a> {
         }
     }
 
+    /// Dynamic power at `(f, vdd)`: the `Pdyn` term of every solve of this
+    /// scene, bit for bit. It rises with `vdd`.
+    pub(crate) fn pdyn_w(&self, f_ghz: f64, vdd: f64) -> f64 {
+        self.params
+            .pdyn_w(self.tenv.alpha_f, Volts::raw(vdd), GHz::raw(f_ghz))
+    }
+
+    /// Leakage at `(vdd, vbb)` and temperature `t_c`, as the solver
+    /// evaluates it.
+    fn psta_w(&self, vdd: f64, vbb: f64, t_c: f64) -> f64 {
+        let vt = self.device.vt_at(self.params.vt0, t_c, vdd, vbb);
+        self.params.ksta_nom_w * leakage_factor(self.device, vt, vdd, t_c)
+    }
+
+    /// Whether leakage at `(vdd, vbb)` cannot fall as the temperature
+    /// rises from `t_c` upward. `d ln Psta / dT >= 0` reduces to
+    /// `2*n*T/(q/k) + Vt(T) - k1*T >= 0` (T in kelvin); `Vt - k1*T` does
+    /// not depend on `T`, so with `n > 0` the left side only grows and
+    /// one test at `t_c` covers every hotter point.
+    fn leakage_rises_with_t(&self, vdd: f64, vbb: f64, t_c: f64) -> bool {
+        let d = self.device;
+        let t_k = t_c + KELVIN;
+        d.n_sub > 0.0
+            && 2.0 * d.n_sub * t_k / Q_OVER_K + d.vt_at(self.params.vt0, t_c, vdd, vbb)
+                - d.k1_vt_per_kelvin * t_k
+                >= 0.0
+    }
+
+    /// A solve-free lower bound on the power any check of `(f, vdd, vbb)`
+    /// returns: `Pdyn + Psta(T = TH)`. Every solve's fixed point is at
+    /// least as hot as the heat sink, so when leakage rises with
+    /// temperature the leakage term can only be larger there. When it
+    /// provably does not, the bound falls back to `Pdyn` alone.
+    pub(crate) fn power_lower_bound(&self, f_ghz: f64, vdd: f64, vbb: f64) -> f64 {
+        let pdyn = self.pdyn_w(f_ghz, vdd);
+        let th = self.tenv.th_c;
+        if self.leakage_rises_with_t(vdd, vbb, th) {
+            pdyn + self.psta_w(vdd, vbb, th)
+        } else {
+            pdyn
+        }
+    }
+
+    /// The largest reference threshold voltage over the subsystem's grid
+    /// cells: the cell with the least gate overdrive, which
+    /// [`row_infeasible_from`] needs for its delay-temperature guard.
+    ///
+    /// [`row_infeasible_from`]: SceneEval::row_infeasible_from
+    pub(crate) fn max_cell_vt0(&self) -> f64 {
+        self.timing
+            .cell_params()
+            .map(|(vt0, _)| vt0)
+            .fold(f64::NEG_INFINITY, f64::max)
+    }
+
+    /// Whether no body bias in `[vbb_min, vbb_max]` at supply `vdd` can
+    /// be feasible at ladder index `floor_idx` or above, decided by one
+    /// error-rate evaluation and no thermal solve. `vt0_max` is
+    /// [`max_cell_vt0`].
+    ///
+    /// The test runs at `(floor, vdd, vbb_max, T_lb)`, where `T_lb` is one
+    /// ascending step of the thermal map from `TH` at `vbb_min` and the
+    /// floor frequency. Every pair of the row, at any index from the
+    /// floor up, runs at least that hot, and its error rate is at least
+    /// the tested one, because:
+    ///
+    /// * delay and `Pdyn` rise with `f`;
+    /// * delay falls and leakage rises as `Vbb` rises (`k3 <= 0`);
+    /// * leakage rises with `T` (checked at `TH`, see
+    ///   `leakage_rises_with_t`), so the map is increasing;
+    /// * delay rises with `T`. The alpha-power law gives
+    ///   `d ln Tg / dT = mu_exp/T + alpha*k1/(Vdd - Vt)`, which is
+    ///   non-negative while `mu_exp*(Vdd - Vt) >= alpha*|k1|*T`. With
+    ///   `mu_exp >= alpha` the left side grows at least as fast as the
+    ///   right as `T` rises, so one test at `T_lb` on the slowest cell
+    ///   covers every hotter point.
+    ///
+    /// When any condition fails the row is never rejected. The error-rate
+    /// cap carries [`PRUNE_SLACK`] so rounding cannot reject a row that a
+    /// full scan would accept.
+    ///
+    /// [`max_cell_vt0`]: SceneEval::max_cell_vt0
+    pub(crate) fn row_infeasible_from(
+        &self,
+        floor_idx: usize,
+        vdd: f64,
+        vbb_min: f64,
+        vbb_max: f64,
+        vt0_max: f64,
+    ) -> bool {
+        let d = self.device;
+        let th = self.tenv.th_c;
+        if d.k3_vt_per_vbb > 0.0
+            || d.mu_exp < d.alpha
+            || !self.leakage_rises_with_t(vdd, vbb_max, th)
+        {
+            return false;
+        }
+        let f_ghz = FREQ_LADDER.at(floor_idx);
+        let p_lb = self.pdyn_w(f_ghz, vdd) + self.psta_w(vdd, vbb_min, th);
+        let t_lb = th + self.params.rth_c_per_w * p_lb;
+        let overdrive = vdd - d.vt_at(vt0_max, t_lb, vdd, vbb_max);
+        if !(overdrive > 0.0
+            && d.mu_exp * overdrive >= d.alpha * d.k1_vt_per_kelvin.abs() * (t_lb + KELVIN))
+        {
+            return false;
+        }
+        let cond = OperatingConditions {
+            vdd: Volts::raw(vdd),
+            vbb: Volts::raw(vbb_max),
+            t_c: t_lb,
+        };
+        self.timing
+            .pe_access_bounded(
+                GHz::raw(f_ghz),
+                &cond,
+                self.rho,
+                self.pe_budget * (1.0 + PRUNE_SLACK),
+            )
+            .is_none()
+    }
+
     /// [`SubsystemScene::check`] for an arbitrary (possibly off-ladder)
     /// frequency: a direct canonical cold-start solve, no memoization.
     pub fn check_free(&self, f_ghz: f64, vdd: f64, vbb: f64) -> Option<(f64, f64)> {
@@ -278,8 +413,11 @@ pub trait Optimizer {
 
     /// The `Power` algorithm for one subsystem: the `(Vdd, Vbb)` that
     /// minimizes subsystem power at core frequency `f_core` without
-    /// violating constraints. Falls back to the most aggressive setting if
-    /// nothing on the ladder is feasible (retuning will then lower `f`).
+    /// violating constraints. When no permitted pair is feasible, the
+    /// exhaustive oracle returns the nominal setting `(1.0, 0.0)`, which
+    /// is always electrically safe, and retuning then lowers `f`. Learned
+    /// and global-DVFS optimizers return their own setting without
+    /// checking feasibility.
     fn power_settings(
         &self,
         config: &EvalConfig,

@@ -20,8 +20,8 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use eval_adapt::{
-    Campaign, ControllerZoo, ExhaustiveOptimizer, Optimizer, SceneEval, Scheme, SubsystemScene,
-    TrainingBudget,
+    Campaign, ControllerZoo, ExhaustiveOptimizer, FuzzyOptimizer, Optimizer, SceneEval, Scheme,
+    SubsystemScene, TrainingBudget,
 };
 use eval_bench::{fail_chip_from_env, run_campaign, TraceSession};
 use eval_core::{
@@ -430,6 +430,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             5,
             7,
         )),
+    ));
+
+    // One core's manufacturer-site training under every knob at the
+    // default budget: teacher labeling (ABB oracle queries) plus fuzzy
+    // fitting — what campaigns spend almost all their time on.
+    rows.push(Row::new(
+        "train_core_all_env",
+        time_samples(
+            || {
+                black_box(FuzzyOptimizer::train(
+                    &config,
+                    &chip,
+                    0,
+                    Environment::ALL,
+                    &TrainingBudget::default(),
+                ));
+            },
+            1,
+            n(3),
+        ),
+        None,
     ));
 
     rows.push(Row::new(

@@ -112,6 +112,13 @@ pub const SOLVER_BATCH_LANES: &str = "solver.batch.lanes";
 /// bench JSON by the `hotpath` bin.
 pub const SOLVER_BATCH_WIDTH: &str = "solver.batch.width";
 
+/// Whole `Vbb` rows the exhaustive oracle skipped on a solve-free
+/// bound, without evaluating any of their pairs (counter).
+pub const ORACLE_PRUNED_ROWS: &str = "oracle.pruned.rows";
+/// `(Vdd, Vbb)` pairs the exhaustive oracle skipped on a solve-free
+/// bound, those of skipped rows included (counter).
+pub const ORACLE_PRUNED_PAIRS: &str = "oracle.pruned.pairs";
+
 /// Ladder probes evaluated by the retuning loop (counter).
 pub const RETUNE_PROBES: &str = "retune.probes";
 
@@ -186,6 +193,8 @@ pub const ALL_METRICS: &[&str] = &[
     SOLVER_BATCH_CALLS,
     SOLVER_BATCH_LANES,
     SOLVER_BATCH_WIDTH,
+    ORACLE_PRUNED_ROWS,
+    ORACLE_PRUNED_PAIRS,
     RETUNE_PROBES,
     FUZZY_CONTROLLERS_TRAINED,
     CONTROLLER_ZOO_TRAINED,

@@ -4,6 +4,7 @@
 //! with the damped reference solver path to physical tolerance, and must
 //! return values that do not depend on query order.
 
+use eval::adapt::teacher::{ALPHA_RANGE, RHO_RANGE, TH_RANGE};
 use eval::adapt::SceneEval;
 use eval::power::{
     freq_steps, solve_thermal, solve_thermal_reference, vbb_steps, vdd_steps, OperatingPoint,
@@ -328,6 +329,102 @@ mod proptests {
                     opt.power_settings(&cfg, &sc, FREQ_LADDER.at(f_idx)),
                     power_settings_by_full_grid(&cfg, &sc, f_idx),
                     "power_settings: chip {} {} {} f_idx {}", chip_seed, id, env.name, f_idx
+                );
+            }
+        }
+    }
+
+    /// The lowest-power feasible `(Vdd, Vbb)` at an arbitrary (possibly
+    /// off-ladder) core frequency, checking every pair with a cold
+    /// `check_free` solve (first minimum in `Vdd`-major order; nominal
+    /// when nothing is feasible).
+    fn power_settings_free_by_full_grid(
+        cfg: &EvalConfig,
+        sc: &SubsystemScene<'_>,
+        f_core: f64,
+    ) -> (f64, f64) {
+        let eval = SceneEval::new(cfg, sc);
+        let mut best: Option<(f64, f64, f64)> = None;
+        for &vdd in sc.vdd_options() {
+            for &vbb in sc.vbb_options() {
+                if let Some((p, _)) = eval.check_free(f_core, vdd, vbb) {
+                    if best.is_none_or(|(bp, _, _)| p < bp) {
+                        best = Some((p, vdd, vbb));
+                    }
+                }
+            }
+        }
+        best.map_or((1.0, 0.0), |(_, vdd, vbb)| (vdd, vbb))
+    }
+
+    /// The alternate structure of subsystem `id` (low-slope FU replica or
+    /// small issue queue), or the default selection when it has none.
+    fn alternate_variants(id: SubsystemId) -> VariantSelection {
+        let mut v = VariantSelection::default();
+        match id {
+            SubsystemId::IntAlu => v.int_fu = FuChoice::LowSlope,
+            SubsystemId::FpUnit => v.fp_fu = FuChoice::LowSlope,
+            SubsystemId::IntQueue => v.int_queue = QueueChoice::Small,
+            SubsystemId::FpQueue => v.fp_queue = QueueChoice::Small,
+            _ => {}
+        }
+        v
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The same brute-force agreement over the teacher's whole
+        /// sampling domain (`teacher::TH_RANGE`, `ALPHA_RANGE`,
+        /// `RHO_RANGE`), with the alternate FU/queue structures, and at
+        /// the continuous off-ladder core frequency the teacher labels
+        /// `power_settings` with, drawn as `teacher::sample_bank` draws
+        /// it. Off-ladder answers are checked against a full-grid
+        /// `check_free` oracle.
+        #[test]
+        fn prop_exhaustive_matches_brute_force_oracles_over_the_teacher_domain(
+            chip_seed in 1u64..64,
+            sub in 0usize..N_SUBSYSTEMS,
+            th in TH_RANGE.0..TH_RANGE.1,
+            alpha in ALPHA_RANGE.0..ALPHA_RANGE.1,
+            rho in RHO_RANGE.0..RHO_RANGE.1,
+            alt in proptest::bool::ANY,
+            f_idx in 0usize..FREQ_LADDER.len(),
+            f_frac in 0.0f64..1.0,
+        ) {
+            let cfg = factory().config().clone();
+            let chip = factory().chip(chip_seed);
+            let id = SubsystemId::ALL[sub];
+            let variants = if alt { alternate_variants(id) } else { VariantSelection::default() };
+            for env in Environment::FIGURE10 {
+                let sc = SubsystemScene {
+                    state: chip.core(0).subsystem(id),
+                    variants,
+                    th_c: th,
+                    alpha_f: alpha,
+                    rho: rho.max(1e-3),
+                    pe_budget: 1e-4 / N_SUBSYSTEMS as f64,
+                    env,
+                };
+                let opt = ExhaustiveOptimizer::new();
+                let fmax = opt.freq_max(&cfg, &sc);
+                prop_assert_eq!(
+                    fmax,
+                    freq_max_by_full_scan(&cfg, &sc),
+                    "freq_max: chip {} {} alt {} {}", chip_seed, id, alt, env.name
+                );
+                prop_assert_eq!(
+                    opt.power_settings(&cfg, &sc, FREQ_LADDER.at(f_idx)),
+                    power_settings_by_full_grid(&cfg, &sc, f_idx),
+                    "power_settings: chip {} {} alt {} {} f_idx {}",
+                    chip_seed, id, alt, env.name, f_idx
+                );
+                let f_core = FREQ_LADDER.min + f_frac * (fmax - FREQ_LADDER.min);
+                prop_assert_eq!(
+                    opt.power_settings(&cfg, &sc, f_core),
+                    power_settings_free_by_full_grid(&cfg, &sc, f_core),
+                    "power_settings: chip {} {} alt {} {} f_core {}",
+                    chip_seed, id, alt, env.name, f_core
                 );
             }
         }
