@@ -301,8 +301,8 @@ impl Campaign {
 
     /// [`Campaign::run`] with tracing: emits a `campaign-start` event,
     /// per-chip `chip-start` markers plus tester/training/decision events,
-    /// a live `campaign.chips_done` counter (recorded by workers as each
-    /// chip completes, for progress decorators), and span timings into
+    /// a `campaign.chips_done` counter (recorded by workers as each chip
+    /// completes), and span timings into
     /// `tracer`.
     ///
     /// Workers record into per-chip buffers that are replayed into the
@@ -480,7 +480,7 @@ impl Campaign {
                     chip_tracer,
                     postmortem.as_ref(),
                 );
-                // Live progress signal on the *outer* sink: counter adds
+                // Completion count on the *outer* sink: counter adds
                 // commute, so the end-of-run snapshot is independent of
                 // worker interleaving and the golden event lines are
                 // untouched.

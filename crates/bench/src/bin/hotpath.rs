@@ -164,7 +164,7 @@ fn small_campaign_traced(tracer: eval_trace::Tracer<'_>) {
 /// into the JSON so `eval-obs bench-check` can gate on cache hit-rate
 /// alongside raw latency. When the binary carries a [`TraceSession`]
 /// (`--trace`/`--checkpoint`/...), the campaign runs through it so the
-/// session's trace, sidecar and metrics cover this run too.
+/// session's trace and timing sidecar cover this run too.
 fn campaign_metrics(
     session: &Option<TraceSession>,
 ) -> Result<Vec<(&'static str, f64)>, Box<dyn std::error::Error>> {
@@ -231,38 +231,25 @@ fn campaign_metrics(
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut json_path = None;
     let mut samples_override: Option<usize> = None;
+    // Everything that is not a bench flag is a session flag (or an
+    // error, reported by the session parser).
+    let mut session_args = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--bench-json" => {
-                json_path = Some(args.next().ok_or("--bench-json needs a path")?);
-            }
-            "--samples" => {
-                let n = args.next().ok_or("--samples needs a count")?;
-                samples_override = Some(parse_samples(&n)?);
-            }
-            // Session flags, parsed by TraceSession::from_env below.
-            "--trace" | "--metrics-out" | "--checkpoint" => {
-                args.next();
-            }
-            "--progress" | "--resume" | "--timing" => {}
-            other if other.starts_with("--trace=")
-                || other.starts_with("--metrics-out=")
-                || other.starts_with("--checkpoint=")
-                || other.starts_with("--bench-json=")
-                || other.starts_with("--samples=") =>
-            {
-                if let Some(p) = other.strip_prefix("--bench-json=") {
-                    json_path = Some(p.to_string());
-                }
-                if let Some(n) = other.strip_prefix("--samples=") {
-                    samples_override = Some(parse_samples(n)?);
-                }
-            }
-            other => return Err(format!("unknown argument {other}").into()),
+        if let Some(p) = arg.strip_prefix("--bench-json=") {
+            json_path = Some(p.to_string());
+        } else if let Some(n) = arg.strip_prefix("--samples=") {
+            samples_override = Some(parse_samples(n)?);
+        } else if arg == "--bench-json" {
+            json_path = Some(args.next().ok_or("--bench-json needs a path")?);
+        } else if arg == "--samples" {
+            let n = args.next().ok_or("--samples needs a count")?;
+            samples_override = Some(parse_samples(&n)?);
+        } else {
+            session_args.push(arg);
         }
     }
-    let session = TraceSession::from_env()?;
+    let session = TraceSession::from_args(session_args)?;
 
     let config = EvalConfig::micro08();
     let factory = ChipFactory::new(config.clone());

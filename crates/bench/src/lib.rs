@@ -30,37 +30,25 @@ use std::path::{Path, PathBuf};
 
 use eval_adapt::{Campaign, CampaignResult, CheckpointOptions, Scheme};
 use eval_core::Environment;
-use eval_obs::ProgressSink;
 use eval_trace::{
     ensure_parent_dir, timing_sidecar_path, Collector, Registry, StreamingJsonl, TimingSidecar,
-    Tracer,
+    TraceSink, Tracer,
 };
 
 /// The collecting side of a [`TraceSession`]: an in-memory [`Collector`]
 /// (trace written atomically at end-of-run) or a crash-safe
 /// [`StreamingJsonl`] (one complete chip segment flushed per commit; used
-/// whenever checkpointing is on), either optionally wrapped in a
-/// [`ProgressSink`] heartbeating to stderr. The decorator forwards every
-/// record verbatim, so the traced JSONL stream is bit-identical either
-/// way.
+/// whenever checkpointing is on). Both render the same bytes.
 enum SessionSink {
-    Plain(Collector),
-    Progress(ProgressSink<Collector, std::io::Stderr>),
-    Stream(StreamingJsonl),
-    StreamProgress(ProgressSink<StreamingJsonl, std::io::Stderr>),
+    Collector(Collector),
+    StreamingJsonl(StreamingJsonl),
 }
 
 /// An optional telemetry session for the experiment binaries, enabled by
 /// any of:
 ///
 /// * `--trace <path>` (or `--trace=<path>`, or `EVAL_TRACE`) — write the
-///   JSONL trace stream;
-/// * `--progress` (or `EVAL_PROGRESS=1`) — heartbeat live campaign
-///   progress (chips done/total, chips/sec, ETA, solver counters) to
-///   stderr while the run executes;
-/// * `--metrics-out <path>` (or `--metrics-out=<path>`, or
-///   `EVAL_METRICS_OUT`) — write a Prometheus-text snapshot of the
-///   metric registry at end-of-run, servable with `eval-obs serve`;
+///   JSONL trace stream, the run's one metrics artifact;
 /// * `--checkpoint <path>` (or `--checkpoint=<path>`, or
 ///   `EVAL_CHECKPOINT`) — checkpoint campaign progress chip-by-chip to a
 ///   sidecar, and stream the trace (when requested) one committed chip
@@ -72,17 +60,17 @@ enum SessionSink {
 ///   run: stream spans and wall-clock latency samples to a
 ///   `<trace>.timing.jsonl` sidecar, consumable by `eval-obs profile`.
 ///
-/// Flags win over environment variables. Output paths are validated (and
-/// parent directories created, and the streaming trace/timing sidecar
-/// opened) up front, so a bad path fails before hours of chip work
-/// instead of after. [`TraceSession::finish`] completes all outputs.
-/// The `"kind":"event"` lines are bit-deterministic across runs and
-/// thread counts, and the primary trace is byte-identical whether
-/// `--timing` is on or off: spans and `*_us` metrics only ever reach the
-/// timing sidecar.
+/// Any other argument is an error, so a typo cannot silently run an
+/// untraced campaign. Flags win over environment variables. Output
+/// paths are validated (and parent directories created, and the
+/// streaming trace/timing sidecar opened) up front, so a bad path fails
+/// before hours of chip work instead of after. [`TraceSession::finish`]
+/// completes all outputs. The `"kind":"event"` lines are
+/// bit-deterministic across runs and thread counts, and the primary
+/// trace is byte-identical whether `--timing` is on or off: spans and
+/// `*_us` metrics only ever reach the timing sidecar.
 pub struct TraceSession {
     trace_path: Option<PathBuf>,
-    metrics_path: Option<PathBuf>,
     checkpoint: Option<CheckpointOptions>,
     sink: SessionSink,
     timing: Option<TimingSidecar>,
@@ -98,51 +86,73 @@ fn invalid(msg: String) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidInput, msg)
 }
 
+/// The path operand of `flag`: its `=`-joined value, else the next
+/// argument.
+fn flag_path(
+    flag: &str,
+    inline: Option<&str>,
+    rest: &mut impl Iterator<Item = String>,
+) -> std::io::Result<PathBuf> {
+    inline
+        .map(String::from)
+        .or_else(|| rest.next())
+        .map(PathBuf::from)
+        .ok_or_else(|| invalid(format!("{flag} needs a path")))
+}
+
 impl TraceSession {
-    /// Builds a session from `std::env::args` / environment variables,
-    /// or `None` when no telemetry was requested.
+    /// [`TraceSession::from_args`] over the process arguments.
     ///
     /// # Errors
     ///
-    /// Fails fast on unusable output paths, on `--resume` without any way
-    /// to locate a sidecar, on a trace file that cannot be reconciled
-    /// with the sidecar's committed frontier, or on a corrupt sidecar.
+    /// As [`TraceSession::from_args`].
     pub fn from_env() -> std::io::Result<Option<TraceSession>> {
-        let mut args = std::env::args();
+        Self::from_args(std::env::args().skip(1))
+    }
+
+    /// Builds a session from command-line `args` (program name already
+    /// stripped) and the environment variables, or `None` when no
+    /// telemetry was requested.
+    ///
+    /// # Errors
+    ///
+    /// `InvalidInput` naming any argument that is not a session flag,
+    /// or a path flag without its path. Fails fast on unusable output
+    /// paths, on `--resume` without any way to locate a sidecar, on a
+    /// trace file that cannot be reconciled with the sidecar's committed
+    /// frontier, or on a corrupt sidecar.
+    pub fn from_args(
+        args: impl IntoIterator<Item = String>,
+    ) -> std::io::Result<Option<TraceSession>> {
+        let mut args = args.into_iter();
         let mut trace_path: Option<PathBuf> = None;
-        let mut metrics_path: Option<PathBuf> = None;
         let mut checkpoint_path: Option<PathBuf> = None;
-        let mut progress = false;
         let mut resume = false;
         let mut timing = false;
         while let Some(arg) = args.next() {
-            if arg == "--trace" {
-                trace_path = args.next().map(Into::into);
-            } else if let Some(p) = arg.strip_prefix("--trace=") {
-                trace_path = Some(p.into());
-            } else if arg == "--metrics-out" {
-                metrics_path = args.next().map(Into::into);
-            } else if let Some(p) = arg.strip_prefix("--metrics-out=") {
-                metrics_path = Some(p.into());
-            } else if arg == "--checkpoint" {
-                checkpoint_path = args.next().map(Into::into);
-            } else if let Some(p) = arg.strip_prefix("--checkpoint=") {
-                checkpoint_path = Some(p.into());
-            } else if arg == "--progress" {
-                progress = true;
-            } else if arg == "--resume" {
-                resume = true;
-            } else if arg == "--timing" {
-                timing = true;
+            let (flag, inline) = match arg.split_once('=') {
+                Some((flag, value)) => (flag, Some(value)),
+                None => (arg.as_str(), None),
+            };
+            match (flag, inline) {
+                ("--trace", _) => trace_path = Some(flag_path(flag, inline, &mut args)?),
+                ("--checkpoint", _) => {
+                    checkpoint_path = Some(flag_path(flag, inline, &mut args)?);
+                }
+                ("--resume", None) => resume = true,
+                ("--timing", None) => timing = true,
+                _ => {
+                    return Err(invalid(format!(
+                        "unknown argument `{arg}` (session flags: --trace <path>, \
+                         --checkpoint <path>, --resume, --timing)"
+                    )))
+                }
             }
         }
         let trace_path = trace_path.or_else(|| std::env::var_os("EVAL_TRACE").map(Into::into));
-        let metrics_path =
-            metrics_path.or_else(|| std::env::var_os("EVAL_METRICS_OUT").map(Into::into));
         let checkpoint_path =
             checkpoint_path.or_else(|| std::env::var_os("EVAL_CHECKPOINT").map(Into::into));
         let truthy = |var: &str| std::env::var(var).is_ok_and(|v| !v.is_empty() && v != "0");
-        let progress = progress || truthy("EVAL_PROGRESS");
         let resume = resume || truthy("EVAL_RESUME");
         let timing = timing || truthy("EVAL_TIMING");
         if timing && trace_path.is_none() {
@@ -169,20 +179,18 @@ impl TraceSession {
             }
             (None, false) => None,
         };
-        if trace_path.is_none() && metrics_path.is_none() && checkpoint.is_none() && !progress {
+        if trace_path.is_none() && checkpoint.is_none() {
             return Ok(None);
         }
 
         // Fail-fast output validation: surface path problems when flags
         // are parsed, not after hours of chip work.
-        for path in [&trace_path, &metrics_path]
-            .into_iter()
-            .flatten()
+        for path in trace_path
+            .iter()
             .chain(checkpoint.as_ref().map(|o| &o.path))
         {
-            ensure_parent_dir(path).map_err(|e| {
-                invalid(format!("cannot create parent of {}: {e}", path.display()))
-            })?;
+            ensure_parent_dir(path)
+                .map_err(|e| invalid(format!("cannot create parent of {}: {e}", path.display())))?;
         }
 
         let sink = match (&trace_path, &checkpoint) {
@@ -207,20 +215,9 @@ impl TraceSession {
                 } else {
                     StreamingJsonl::create(trace)?
                 };
-                if progress {
-                    SessionSink::StreamProgress(ProgressSink::stderr(stream))
-                } else {
-                    SessionSink::Stream(stream)
-                }
+                SessionSink::StreamingJsonl(stream)
             }
-            _ => {
-                let collector = Collector::new();
-                if progress {
-                    SessionSink::Progress(ProgressSink::stderr(collector))
-                } else {
-                    SessionSink::Plain(collector)
-                }
-            }
+            _ => SessionSink::Collector(Collector::new()),
         };
         // The timing sidecar streams, so it is created (truncating) up
         // front like the checkpointed trace.
@@ -230,7 +227,6 @@ impl TraceSession {
         };
         Ok(Some(TraceSession {
             trace_path,
-            metrics_path,
             checkpoint,
             sink,
             timing,
@@ -241,11 +237,9 @@ impl TraceSession {
     /// on, so spans and wall-clock metrics reach the sidecar and the
     /// primary stream stays byte-identical either way.
     pub fn tracer(&self) -> Tracer<'_> {
-        let primary: &dyn eval_trace::TraceSink = match &self.sink {
-            SessionSink::Plain(c) => c,
-            SessionSink::Progress(p) => p,
-            SessionSink::Stream(s) => s,
-            SessionSink::StreamProgress(p) => p,
+        let primary: &dyn TraceSink = match &self.sink {
+            SessionSink::Collector(c) => c,
+            SessionSink::StreamingJsonl(s) => s,
         };
         match &self.timing {
             Some(sidecar) => Tracer::with_timing(primary, sidecar),
@@ -267,16 +261,13 @@ impl TraceSession {
     /// A snapshot of the session's metric registry so far.
     pub fn registry(&self) -> Registry {
         match &self.sink {
-            SessionSink::Plain(c) => c.registry(),
-            SessionSink::Progress(p) => p.inner().registry(),
-            SessionSink::Stream(s) => s.registry(),
-            SessionSink::StreamProgress(p) => p.inner().registry(),
+            SessionSink::Collector(c) => c.registry(),
+            SessionSink::StreamingJsonl(s) => s.registry(),
         }
     }
 
     /// Flushes the session: completes the JSONL stream (`--trace`),
-    /// writes the Prometheus metrics snapshot (`--metrics-out`), stamps
-    /// both artifacts with provenance (content address + appended trace
+    /// stamps it with provenance (content address + appended trace
     /// footer + run-journal entries when `EVAL_RUNS_JOURNAL` is set),
     /// and prints the end-of-run span/metric summary.
     ///
@@ -284,11 +275,8 @@ impl TraceSession {
     ///
     /// Propagates the I/O error if an output file cannot be written.
     pub fn finish(self) -> std::io::Result<()> {
-        let stamped =
-            u64::from(self.trace_path.is_some()) + u64::from(self.metrics_path.is_some());
-        if stamped > 0 {
-            self.tracer()
-                .count_n(eval_trace::names::PROVENANCE_ARTIFACTS, stamped);
+        if self.trace_path.is_some() {
+            self.tracer().count(eval_trace::names::PROVENANCE_ARTIFACTS);
         }
         if self.timing.is_some() {
             // The sidecar is a stamped artifact too, but its provenance
@@ -297,30 +285,17 @@ impl TraceSession {
             self.tracer()
                 .timing_count(eval_trace::names::PROVENANCE_ARTIFACTS);
         }
-        let (summary, registry) = match self.sink {
-            SessionSink::Plain(c) => {
+        let summary = match self.sink {
+            SessionSink::Collector(c) => {
                 if let Some(path) = &self.trace_path {
                     c.write_jsonl(path)?;
                 }
-                (c.summary(), c.registry())
+                c.summary()
             }
-            SessionSink::Progress(p) => {
-                let c = p.into_inner();
-                if let Some(path) = &self.trace_path {
-                    c.write_jsonl(path)?;
-                }
-                (c.summary(), c.registry())
-            }
-            SessionSink::Stream(s) => {
-                let out = (s.summary(), s.registry());
+            SessionSink::StreamingJsonl(s) => {
+                let summary = s.summary();
                 s.finish()?;
-                out
-            }
-            SessionSink::StreamProgress(p) => {
-                let s = p.into_inner();
-                let out = (s.summary(), s.registry());
-                s.finish()?;
-                out
+                summary
             }
         };
         if let Some(path) = &self.trace_path {
@@ -335,13 +310,6 @@ impl TraceSession {
             }
             _ => None,
         };
-        if let Some(path) = &self.metrics_path {
-            eval_trace::provenance::write_atomic_stamped(
-                path,
-                eval_obs::prometheus(&registry).as_bytes(),
-                "metrics-prom",
-            )?;
-        }
         println!();
         println!("{summary}");
         if let Some(path) = &self.trace_path {
@@ -349,9 +317,6 @@ impl TraceSession {
         }
         if let Some(path) = &timing_path {
             eprintln!("# timing sidecar written to {}", path.display());
-        }
-        if let Some(path) = &self.metrics_path {
-            eprintln!("# metrics written to {}", path.display());
         }
         if let Some(opts) = &self.checkpoint {
             eprintln!("# checkpoint sidecar at {}", opts.path.display());
@@ -532,6 +497,25 @@ pub fn print_environment_csv<F: Fn(&eval_adapt::CellResult) -> f64>(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn session_args_reject_unknown_flags() {
+        // Removed flags and typos fail instead of running untraced.
+        for args in [
+            &["--progress"][..],
+            &["--metrics-out", "x"],
+            &["--trce", "t.jsonl"],
+            &["--trace"],
+        ] {
+            match TraceSession::from_args(args.iter().map(|a| a.to_string())) {
+                Err(e) => {
+                    assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput, "{args:?}");
+                    assert!(e.to_string().contains(args[0]), "{e}");
+                }
+                Ok(_) => panic!("{args:?} was accepted"),
+            }
+        }
+    }
 
     #[test]
     fn chips_env_parsing_defaults() {

@@ -152,7 +152,7 @@ pub fn lex(source: &str) -> LexedFile {
                     ('/', Some('/')) => {
                         flush_ident!();
                         st = St::Line;
-                        comment_text.push_str(&raw[raw.len() - (b.len() - i)..]);
+                        comment_text.extend(&b[i..]);
                         break;
                     }
                     ('/', Some('*')) => {
@@ -446,6 +446,11 @@ mod tests {
         let f = lex("// lint:allow(determinism): justified\n// more context\nuse std::collections::HashMap;\n");
         assert_eq!(f.allow_marker_for(2, "determinism"), Some(0));
         assert_eq!(f.allow_marker_for(2, "panic-safety"), None);
+        // Multi-byte characters in a comment neither panic the lexer nor
+        // shift the marker text.
+        let f = lex("f(); // lint:allow(panic-safety) — μ ≥ α\nx // σσσσ\n");
+        assert_eq!(f.lines[0].allows, ["panic-safety"]);
+        assert!(f.lines[1].allows.is_empty() && f.lines[1].code.trim() == "x");
     }
 
     #[test]

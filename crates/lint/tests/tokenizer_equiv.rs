@@ -7,19 +7,23 @@
 //! ported rules consume, so agreement here implies finding-for-finding
 //! agreement there.
 //!
-//! `legacy` below is the original scanner, embedded verbatim. It is
+//! `legacy` below is the original scanner, embedded verbatim except for
+//! the multi-byte comment fix it shares with the lexer. It is
 //! checked against the new lexer two ways: over every in-scope file of
 //! the real workspace (the corpus no hand-written fixture can match),
 //! and over randomized adversarial sources assembled from the lexical
 //! fragments that historically break strippers (nested block comments,
 //! raw strings with hashes, escaped quotes, lifetimes vs char
-//! literals, markers inside strings).
+//! literals, markers inside strings, multi-byte characters in comments).
 
 use eval_lint::lexer::lex;
 use eval_lint::Workspace;
 use proptest::prelude::*;
 
-/// The original scanner, verbatim from the single-file linter.
+/// The original scanner from the single-file linter. Its one change is
+/// the line-comment capture, which copies chars instead of slicing bytes
+/// at a char index, so a multi-byte comment neither panics nor loses
+/// text.
 mod legacy {
     pub struct Scanned {
         pub code: Vec<String>,
@@ -60,7 +64,7 @@ mod legacy {
                     St::Code => match (c, next) {
                         ('/', Some('/')) => {
                             st = St::Line;
-                            comment_text.push_str(&raw[raw.len() - (b.len() - i)..]);
+                            comment_text.extend(&b[i..]);
                             break;
                         }
                         ('/', Some('*')) => {
@@ -296,7 +300,7 @@ fn lexer_matches_legacy_scanner_on_the_whole_workspace() {
 /// Lexical fragments that historically break strippers, composed
 /// randomly. Index-addressed so the offline proptest shim (which has
 /// no string strategy) can drive selection.
-const FRAGMENTS: [&str; 24] = [
+const FRAGMENTS: [&str; 26] = [
     "fn f(x: u64) -> u64 { x }",
     "let s = \"text with // not a comment\";",
     "let r = r\"raw \\ backslash\";",
@@ -321,6 +325,8 @@ const FRAGMENTS: [&str; 24] = [
     "closes here */ let after = 1;",
     "let esc = \"tail\\\\\";",
     "  // lint:allow(unit-safety): justified",
+    "f(); // lint:allow(panic-safety) — μ ≥ α",
+    "x // σσσσ",
 ];
 
 proptest! {

@@ -24,19 +24,10 @@ use std::io::BufRead;
 
 use eval_trace::json::JsonObject;
 use eval_trace::provenance::Provenance;
+use eval_trace::sink::{F_GHZ_BOUNDS, PE_BOUNDS};
 use eval_trace::{names, Histogram};
 
 use crate::json::Json;
-
-/// Chosen-frequency digest boundaries — the retuning ladder in 250 MHz
-/// steps, mirroring the collector's `decision.f_ghz` histogram.
-const F_GHZ_BOUNDS: [f64; 13] = [
-    2.0, 2.25, 2.5, 2.75, 3.0, 3.25, 3.5, 3.75, 4.0, 4.25, 4.5, 4.75, 5.0,
-];
-
-/// Error-rate digest boundaries — decades around the `PEMAX = 1e-4`
-/// constraint, mirroring the collector's `decision.pe_per_instruction`.
-const PE_BOUNDS: [f64; 8] = [1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2];
 
 /// A malformed trace line (bad JSON or a record missing required fields).
 #[derive(Debug, Clone, PartialEq, Eq)]

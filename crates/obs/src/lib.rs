@@ -2,26 +2,22 @@
 //!
 //! `eval-trace` is the *emit* side of observability: campaign and
 //! runtime code produce deterministic JSONL traces, metrics, and spans.
-//! This crate is the *consume* side:
+//! This crate is the *consume* side, and a leaf: no other workspace
+//! crate depends on it, so the experiment binaries link only the emit
+//! side and the JSONL trace is their one metrics artifact.
 //!
 //! * [`analyze`] — streaming trace analysis: folds a JSONL trace into
 //!   per-scheme / per-chip / per-phase rollups with digest quantiles,
 //!   fuzzy-vs-exhaustive frequency deltas, binding-constraint
 //!   breakdowns, and `SolveCache` hit rates (`eval-obs analyze`);
-//! * [`progress`] — [`progress::ProgressSink`], a `TraceSink` decorator
-//!   that heartbeats live campaign progress to stderr while forwarding
-//!   every record verbatim (the `--progress` flag);
-//! * [`expose`] — Prometheus-text exposition of a metric registry
-//!   snapshot, written at end-of-run (`--metrics-out`) and optionally
-//!   served over `std::net` (`eval-obs serve`);
 //! * [`bench_check`] — the bench regression gate comparing a fresh
 //!   `BENCH_hotpath.json` against the committed baseline and the pooled
 //!   `BENCH_history.jsonl` distribution (`eval-obs bench-check`, wired
 //!   onto tier-1);
 //! * [`stats`] — the decile / effect-size / permutation-test machinery
 //!   behind the quantile gate;
-//! * [`runs`] — the provenance run journal: list, show, diff, and
-//!   query any stamped artifacts (`eval-obs runs`);
+//! * [`runs`] — the provenance run journal: list, show, and diff any
+//!   stamped artifacts (`eval-obs runs`);
 //! * [`profile`] — the wall-clock profiling sidecar consumer:
 //!   self/total span tables, folded stacks, speedscope export, and
 //!   primary-trace attribution (`eval-obs profile`);
@@ -38,11 +34,9 @@
 
 pub mod analyze;
 pub mod bench_check;
-pub mod expose;
 pub mod json;
 pub mod postmortem;
 pub mod profile;
-pub mod progress;
 pub mod runs;
 pub mod stats;
 
@@ -51,10 +45,8 @@ pub use bench_check::{
     append_history, check, check_distribution, load_history, parse_history, BenchFile,
     CheckReport, GateMode, GateOptions, HistoryRecord, Tolerances,
 };
-pub use expose::{prometheus, MetricsServer};
 pub use json::{Json, JsonError};
 pub use postmortem::{parse_bundle, Bundle, FlightLine};
 pub use profile::Profile;
-pub use progress::ProgressSink;
-pub use runs::{find, load_journal, parse_journal, query_by_fingerprint, RunEntry};
+pub use runs::{find, load_journal, parse_journal, RunEntry};
 pub use stats::{deciles, effect_size, quantile_gate, EffectSize, GateConfig, GateVerdict};

@@ -9,8 +9,7 @@
 //!                      [--history <path>] [--tolerance X | name=X]...
 //!                      [--legacy-tolerance X] [--alpha A] [--trials N]
 //!                      [--min-effect X | name=X]...
-//! eval-obs runs list|show <sel>|diff <a> <b>|query|gc --keep N [--journal <path>]
-//! eval-obs serve <metrics.prom> [--addr 127.0.0.1:9184] [--once]
+//! eval-obs runs list|show <sel>|diff <a> <b> [--journal <path>]
 //! ```
 //!
 //! `analyze` reads `-` as stdin, so a trace can be piped straight in.
@@ -32,9 +31,7 @@
 //!
 //! `runs` reads the provenance journal (`--journal`, default
 //! `$EVAL_RUNS_JOURNAL` or `runs/journal.jsonl`); selectors are a list
-//! index, a content-address prefix, or a path suffix. `runs gc
-//! --keep N` rewrites the journal atomically, retaining the newest N
-//! records per artifact kind.
+//! index, a content-address prefix, or a path suffix.
 //!
 //! Exit status: `bench-check` exits 1 on a regression; everything else
 //! exits 1 only on usage or I/O errors.
@@ -43,7 +40,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use eval_obs::bench_check::{self, BenchFile, GateOptions};
-use eval_obs::{analyze_reader, runs, MetricsServer};
+use eval_obs::{analyze_reader, runs};
 
 const USAGE: &str = "usage:
   eval-obs analyze <trace.jsonl | -> [--json | --format json|text]
@@ -53,9 +50,7 @@ const USAGE: &str = "usage:
   eval-obs bench-check --baseline <BENCH.json> --fresh <BENCH.json> [--history <path>]
                        [--tolerance X | --tolerance name=X]... [--legacy-tolerance X]
                        [--alpha A] [--trials N] [--min-effect X | --min-effect name=X]...
-  eval-obs runs list|show <sel>|diff <a> <b>|query --config-fingerprint <prefix>
-           |gc --keep <count> [--journal <path>]
-  eval-obs serve <metrics.prom> [--addr HOST:PORT] [--once]";
+  eval-obs runs list|show <sel>|diff <a> <b> [--journal <path>]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -65,7 +60,6 @@ fn main() -> ExitCode {
         Some("postmortem") => cmd_postmortem(&args[1..]),
         Some("bench-check") => return cmd_bench_check(&args[1..]),
         Some("runs") => cmd_runs(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
         Some("--help" | "-h" | "help") | None => {
             println!("{USAGE}");
             Ok(())
@@ -323,27 +317,11 @@ fn run_bench_check(args: &[String]) -> Result<bool, Box<dyn std::error::Error>> 
 
 fn cmd_runs(args: &[String]) -> CliResult {
     let mut journal: Option<PathBuf> = None;
-    let mut keep: Option<usize> = None;
-    let mut fingerprint: Option<String> = None;
     let mut positional: Vec<&str> = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--journal" => journal = Some(it.next().ok_or("--journal needs a path")?.into()),
-            "--config-fingerprint" => {
-                fingerprint = Some(
-                    it.next()
-                        .ok_or("--config-fingerprint needs a hex prefix")?
-                        .clone(),
-                );
-            }
-            "--keep" => {
-                let n = it.next().ok_or("--keep needs a count")?;
-                keep = Some(
-                    n.parse::<usize>()
-                        .map_err(|_| format!("--keep needs an integer count, got {n}"))?,
-                );
-            }
             other => positional.push(other),
         }
     }
@@ -358,56 +336,9 @@ fn cmd_runs(args: &[String]) -> CliResult {
     };
     match positional.as_slice() {
         ["list"] => print!("{}", runs::render_list(&entries)),
-        ["query"] => {
-            let prefix =
-                fingerprint.ok_or("runs query needs --config-fingerprint <prefix>")?;
-            let hits = runs::query_by_fingerprint(&entries, &prefix);
-            print!("{}", runs::render_list(&hits));
-        }
         ["show", sel] => print!("{}", runs::render_show(lookup(sel)?)),
         ["diff", a, b] => print!("{}", runs::render_diff(lookup(a)?, lookup(b)?)),
-        ["gc"] => {
-            let keep = keep.ok_or("runs gc needs --keep <count>")?;
-            let kept = runs::gc_entries(&entries, keep);
-            let dropped = entries.len() - kept.len();
-            runs::write_journal(&journal, &kept)?;
-            println!(
-                "{}: kept {} run(s), dropped {dropped} (newest {keep} per artifact kind)",
-                journal.display(),
-                kept.len(),
-            );
-        }
-        _ => {
-            return Err(format!(
-                "runs needs list | show <sel> | diff <a> <b> | \
-                 query --config-fingerprint <prefix> | gc --keep <count>\n{USAGE}"
-            )
-            .into())
-        }
+        _ => return Err(format!("runs needs list | show <sel> | diff <a> <b>\n{USAGE}").into()),
     }
-    Ok(())
-}
-
-fn cmd_serve(args: &[String]) -> CliResult {
-    let mut path: Option<PathBuf> = None;
-    let mut addr = "127.0.0.1:9184".to_string();
-    let mut once = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--addr" => addr = it.next().ok_or("--addr needs HOST:PORT")?.clone(),
-            "--once" => once = true,
-            other if path.is_none() => path = Some(other.into()),
-            other => return Err(format!("unexpected argument `{other}`").into()),
-        }
-    }
-    let path = path.ok_or("serve needs a metrics file path")?;
-    let server = MetricsServer::bind(&addr)?;
-    eprintln!(
-        "# serving {} at http://{}/metrics",
-        path.display(),
-        server.local_addr()?
-    );
-    server.serve_path(&path, if once { Some(1) } else { None })?;
     Ok(())
 }

@@ -10,10 +10,7 @@
 //! * `show <sel>` — one entry in full;
 //! * `diff <a> <b>` — compare two entries by provenance: bit-identical
 //!   payloads share a content address, anything else is pinpointed
-//!   field by field;
-//! * `gc --keep N` — rewrite the journal atomically, retaining only
-//!   the newest N records *per artifact kind* (so trimming a noisy
-//!   bench loop can never drop the last record of a rarer artifact).
+//!   field by field.
 //!
 //! Selectors are resolved in order: journal index (as printed by
 //! `list`), content-address prefix, then path suffix (latest match
@@ -95,72 +92,6 @@ pub fn find<'a>(entries: &'a [RunEntry], selector: &str) -> Option<&'a RunEntry>
         return by_addr;
     }
     entries.iter().rev().find(|e| e.path.ends_with(selector))
-}
-
-/// The `runs query` filter: journaled artifacts whose
-/// `config_fingerprint` starts with `prefix`. Journal order and the
-/// original indices are preserved, so selectors printed by `list`
-/// remain valid on the filtered view; unstamped artifacts (no
-/// fingerprint) never match.
-pub fn query_by_fingerprint(entries: &[RunEntry], prefix: &str) -> Vec<RunEntry> {
-    entries
-        .iter()
-        .filter(|e| {
-            e.provenance
-                .config_fingerprint
-                .as_deref()
-                .is_some_and(|f| f.starts_with(prefix))
-        })
-        .cloned()
-        .collect()
-}
-
-/// The `runs gc` retention pass: keeps the newest `keep` entries of
-/// each artifact kind (`provenance.artifact`), preserving journal order
-/// and re-indexing the survivors. `keep == 0` empties the journal.
-pub fn gc_entries(entries: &[RunEntry], keep: usize) -> Vec<RunEntry> {
-    let mut per_kind: std::collections::BTreeMap<&str, usize> = std::collections::BTreeMap::new();
-    for e in entries {
-        *per_kind.entry(e.provenance.artifact.as_str()).or_insert(0) += 1;
-    }
-    let mut seen: std::collections::BTreeMap<&str, usize> = std::collections::BTreeMap::new();
-    let mut out: Vec<RunEntry> = Vec::new();
-    for e in entries {
-        let position = {
-            let c = seen.entry(e.provenance.artifact.as_str()).or_insert(0);
-            *c += 1;
-            *c
-        };
-        // The newest `keep` of a kind are the last `keep` occurrences.
-        if position > per_kind[e.provenance.artifact.as_str()].saturating_sub(keep) {
-            let mut kept = e.clone();
-            kept.index = out.len();
-            out.push(kept);
-        }
-    }
-    out
-}
-
-/// Rewrites the journal at `path` to hold exactly `entries`, one line
-/// per record, through the same atomic temp-file-plus-rename protocol
-/// every other artifact writer uses (a crash mid-gc leaves the old
-/// journal intact). Junk lines tolerated by [`parse_journal`] are not
-/// preserved.
-///
-/// # Errors
-///
-/// Any I/O error from the atomic write.
-pub fn write_journal(path: &Path, entries: &[RunEntry]) -> std::io::Result<()> {
-    let mut text = String::new();
-    for e in entries {
-        text.push_str(&eval_trace::provenance::journal_line(
-            Path::new(&e.path),
-            &e.provenance,
-            e.unix_secs,
-        ));
-        text.push('\n');
-    }
-    eval_trace::write_atomic(path, text.as_bytes())
 }
 
 fn short(hash: Option<&str>) -> String {
@@ -331,124 +262,6 @@ mod tests {
         assert!(report.contains("content_address"));
         assert!(report.contains("artifact"));
         assert!(report.contains("config_fingerprint"));
-    }
-
-    #[test]
-    fn gc_keeps_newest_per_kind_and_round_trips() {
-        let entries = parse_journal(&journal());
-        // keep 1: the older of the two bench-json records goes, the
-        // sole trace-jsonl record stays.
-        let kept = gc_entries(&entries, 1);
-        assert_eq!(kept.len(), 2);
-        assert_eq!(kept[0].path, "target/BENCH_b.json");
-        assert_eq!(kept[1].path, "target/trace.jsonl");
-        assert_eq!(kept[0].index, 0, "survivors are re-indexed");
-        assert_eq!(kept[1].index, 1);
-        // keep larger than any kind's count: no-op.
-        assert_eq!(gc_entries(&entries, 10).len(), 3);
-        // keep 0 empties the journal.
-        assert!(gc_entries(&entries, 0).is_empty());
-        // The rewritten journal parses back to exactly the survivors.
-        let dir = std::env::temp_dir().join("eval-obs-runs-gc-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("journal.jsonl");
-        write_journal(&path, &kept).expect("journal rewrites");
-        let reloaded = load_journal(&path).expect("journal reloads");
-        assert_eq!(reloaded, kept);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    mod gc_properties {
-        use super::*;
-        use proptest::prelude::*;
-
-        const KINDS: [&str; 4] = ["bench-json", "trace-jsonl", "metrics-prom", "timing-jsonl"];
-
-        fn entries_from(kinds: &[usize]) -> Vec<RunEntry> {
-            kinds
-                .iter()
-                .enumerate()
-                .map(|(i, &k)| RunEntry {
-                    index: i,
-                    unix_secs: 100 + i as u64,
-                    path: format!("target/artifact-{i}.json"),
-                    provenance: prov(KINDS[k % KINDS.len()], Some(i as u64), "rev", None),
-                })
-                .collect()
-        }
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(128))]
-            // Pins the keep-boundary arithmetic (ISSUE 10 audit): for any
-            // journal and any `keep` — including `keep == count` for a
-            // kind, `keep == 0`, and `keep > count` — the survivors are
-            // exactly the newest `keep` occurrences of each artifact
-            // kind, in journal order, re-indexed densely.
-            #[test]
-            fn gc_survivors_are_exactly_the_newest_keep_per_kind(
-                kinds in proptest::collection::vec(0usize..4, 0..40),
-                keep in 0usize..8,
-            ) {
-                let entries = entries_from(&kinds);
-                let kept = gc_entries(&entries, keep);
-
-                // Expected survivor set: the last `keep` positions of
-                // each kind, computed independently of gc_entries.
-                let mut expected: Vec<&RunEntry> = Vec::new();
-                for e in &entries {
-                    let later_same_kind = entries[e.index + 1..]
-                        .iter()
-                        .filter(|o| o.provenance.artifact == e.provenance.artifact)
-                        .count();
-                    if later_same_kind < keep {
-                        expected.push(e);
-                    }
-                }
-                prop_assert_eq!(kept.len(), expected.len());
-                for (got, want) in kept.iter().zip(&expected) {
-                    prop_assert_eq!(&got.path, &want.path);
-                    prop_assert_eq!(&got.provenance, &want.provenance);
-                }
-                // Survivors are re-indexed densely in journal order.
-                for (i, got) in kept.iter().enumerate() {
-                    prop_assert_eq!(got.index, i);
-                }
-                // Spot invariants at the boundaries: keep == count for a
-                // kind retains every record of it; keep == 0 retains none.
-                if keep == 0 {
-                    prop_assert!(kept.is_empty());
-                }
-                for kind in KINDS {
-                    let count = entries
-                        .iter()
-                        .filter(|e| e.provenance.artifact == kind)
-                        .count();
-                    let survived = kept
-                        .iter()
-                        .filter(|e| e.provenance.artifact == kind)
-                        .count();
-                    prop_assert_eq!(survived, count.min(keep));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn query_filters_by_config_fingerprint_prefix() {
-        let entries = parse_journal(&journal());
-        // Only the trace entry carries a fingerprint (hex64(7)).
-        let full = hex64(7);
-        let hits = query_by_fingerprint(&entries, &full[..4]);
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].path, "target/trace.jsonl");
-        assert_eq!(hits[0].index, 2, "original journal index preserved");
-        assert_eq!(query_by_fingerprint(&entries, &full), hits);
-        // A prefix matching nothing — and the empty-journal case —
-        // both come back empty rather than erroring.
-        assert!(query_by_fingerprint(&entries, "ffff").is_empty());
-        assert!(query_by_fingerprint(&[], "0").is_empty());
-        // The unstamped bench entries never match, even on "".
-        assert_eq!(query_by_fingerprint(&entries, "").len(), 1);
     }
 
     #[test]

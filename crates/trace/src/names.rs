@@ -2,7 +2,7 @@
 //!
 //! Every metric/counter name that crosses a crate boundary — emitted by
 //! the campaign, runtime, solver, or trainer and consumed by `eval-obs`
-//! rollups, the progress heartbeat, or the `bench-check` gate — is
+//! rollups, profiles, or the `bench-check` gate — is
 //! declared here exactly once as a `&'static str` constant. Emitters and
 //! consumers import the constant instead of repeating the string, so a
 //! rename is a compile-visible change on both sides rather than a silent

@@ -1,9 +1,9 @@
 //! Content-addressed artifact provenance.
 //!
 //! Every final artifact the workspace writes — bench JSON, trace JSONL,
-//! Prometheus metric snapshots, checkpoint sidecars — can be stamped
-//! with a [`Provenance`] record answering "which bytes, produced by
-//! which code, under which configuration?":
+//! timing sidecars, postmortem bundles, checkpoint sidecars — can be
+//! stamped with a [`Provenance`] record answering "which bytes, produced
+//! by which code, under which configuration?":
 //!
 //! * **content address** — FNV-1a 64 over the artifact payload bytes
 //!   (for artifacts that embed their own stamp, the payload is the
@@ -158,8 +158,8 @@ pub fn metric_schema_hash() -> String {
 /// One artifact's provenance stamp.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Provenance {
-    /// Artifact kind label (`bench-json`, `trace-jsonl`, `metrics-prom`,
-    /// `campaign-ckpt`).
+    /// Artifact kind label (`bench-json`, `trace-jsonl`, `timing-jsonl`,
+    /// `postmortem-jsonl`, `campaign-ckpt`).
     pub artifact: String,
     /// 16-hex FNV-1a of the payload bytes; `None` for append-only logs
     /// whose content is still growing when the stamp is written.
@@ -354,8 +354,8 @@ pub fn stamp_trace(path: &Path) -> std::io::Result<Provenance> {
 /// [`stamp_trace`] for any append-friendly JSONL artifact: used with
 /// `"timing-jsonl"` for the wall-clock sidecar and `"postmortem-jsonl"`
 /// for flight-recorder bundles. A `config_fingerprint`, when the writer
-/// has one (postmortem bundles), lands in the stamp and the journal so
-/// `eval-obs runs query --config-fingerprint` can find the artifact.
+/// has one (postmortem bundles), lands in the stamp and the journal
+/// (`eval-obs runs show` prints it).
 ///
 /// # Errors
 ///
@@ -374,25 +374,6 @@ pub fn stamp_jsonl_artifact(
     let mut file = std::fs::OpenOptions::new().append(true).open(path)?;
     writeln!(file, "{}", prov.to_record_line())?;
     file.sync_all()?;
-    append_journal(path, &prov)?;
-    Ok(prov)
-}
-
-/// Writes `bytes` to `path` via [`crate::write_atomic`], stamps a
-/// provenance record (content address over exactly the written bytes),
-/// and journals it. For artifacts that do not embed their own stamp
-/// (Prometheus snapshots, reports).
-///
-/// # Errors
-///
-/// Any I/O error from the write or the journal append.
-pub fn write_atomic_stamped(
-    path: &Path,
-    bytes: &[u8],
-    artifact: &str,
-) -> std::io::Result<Provenance> {
-    crate::artifact::write_atomic(path, bytes)?;
-    let prov = Provenance::capture(artifact).with_content_address(bytes);
     append_journal(path, &prov)?;
     Ok(prov)
 }

@@ -1,8 +1,8 @@
 //! The sanctioned wall-clock module and the timing-sidecar writer.
 //!
 //! Everything in the workspace that reads a clock for *observability* —
-//! span durations, latency timers, progress heartbeats, provenance
-//! timestamps — routes through [`clock_now`] / [`unix_time_secs`] here.
+//! span durations, latency timers, provenance timestamps — routes
+//! through [`clock_now`] / [`unix_time_secs`] here.
 //! The `eval-lint` rule EVL013 (`wall-clock-in-deterministic-path`)
 //! flags `Instant::now` / `SystemTime::now` in any other library
 //! module, so a wall-clock read can never silently leak into the
@@ -32,8 +32,7 @@ use crate::names;
 use crate::sink::{render_tail_lines, Record, TraceSink};
 use crate::span::SpanStat;
 
-/// The sanctioned monotonic clock read (span/timer durations, progress
-/// heartbeats). The only library-code `Instant::now` in the workspace.
+/// The sanctioned monotonic clock read (span/timer durations). The only library-code `Instant::now` in the workspace.
 pub fn clock_now() -> Instant {
     Instant::now()
 }
