@@ -6,9 +6,15 @@
 //! The search runs on the operating-point fast path: scene invariants are
 //! hoisted once per query ([`SceneEval`]), thermal solves are memoized and
 //! warm-started through a per-optimizer [`SolveCache`], and the frequency
-//! search verifies the previous `(Vdd, Vbb)` pair's answer as a first
-//! guess before falling back to bisection — adjacent ladder settings
-//! almost always share their feasibility frontier within a step or two.
+//! search probes the pruning floor, its successor and the ladder top in
+//! one batch before falling back to bisection.
+//!
+//! Constraints are checked lazily: every probe lane is solved, so the
+//! cache and its counters see the same lookups, but a solved lane is
+//! admitted (the `TMAX` test plus the error-rate evaluation, see
+//! `SceneEval::admit`) only when the search reads its answer. The power
+//! search also leaves unchecked a solved pair whose power cannot beat the
+//! best pair so far.
 //!
 //! Both searches also skip candidates that a cheap, solve-free bound
 //! proves cannot beat the best pair so far (DESIGN §11). The power
@@ -25,7 +31,7 @@
 use std::cell::{Cell, RefCell};
 
 use eval_core::{EvalConfig, FREQ_LADDER};
-use eval_power::{BatchScratch, SolveCache, MAX_BATCH};
+use eval_power::{BatchScratch, SolveCache, ThermalRunaway, ThermalSolution, MAX_BATCH};
 use eval_trace::{names, Tracer};
 
 use crate::optimizer::{bound_exceeds, Optimizer, SceneEval, SubsystemScene};
@@ -47,25 +53,86 @@ impl PruneStats {
     }
 }
 
+/// Work of the frequency probe and of lazy admission, flushed as the
+/// `oracle.probe.*` / `oracle.admit.*` metrics.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct ProbeStats {
+    /// `(Vdd, Vbb)` pairs that reached `fmax_index_at`.
+    pairs: u64,
+    /// Scalar checks run by the bisection fallback.
+    bisect_steps: u64,
+    /// Error-rate evaluations run by `SceneEval::admit`.
+    admit_pe: u64,
+    /// Solved lanes never admitted, because no answer read them.
+    admit_skipped: u64,
+}
+
+/// A solved probe batch whose lanes are admitted on first read: lanes the
+/// branch logic never reads keep their solve (and so the cache and its
+/// counters) but skip the constraint checks.
+struct LazyProbe<'e, 'a, const N: usize> {
+    eval: &'e SceneEval<'a>,
+    lanes: [(usize, f64, f64); N],
+    solved: [Result<ThermalSolution, ThermalRunaway>; N],
+    read: [bool; N],
+}
+
+impl<'e, 'a, const N: usize> LazyProbe<'e, 'a, N> {
+    fn solve(
+        eval: &'e SceneEval<'a>,
+        cache: &mut SolveCache,
+        scratch: &mut BatchScratch,
+        lanes: [(usize, f64, f64); N],
+    ) -> Self {
+        let mut solved = [Err(ThermalRunaway { t_c: 0.0 }); N];
+        eval.solve_batch(cache, &lanes, scratch, &mut solved);
+        Self {
+            eval,
+            lanes,
+            solved,
+            read: [false; N],
+        }
+    }
+
+    /// Whether lane `k` is feasible, admitting it now.
+    fn feasible(&mut self, k: usize) -> bool {
+        self.read[k] = true;
+        let (f_idx, vdd, vbb) = self.lanes[k];
+        self.eval
+            .admit(FREQ_LADDER.at(f_idx), vdd, vbb, self.solved[k])
+            .is_some()
+    }
+
+    /// Solved lanes left unchecked.
+    fn skipped(&self) -> u64 {
+        self.solved
+            .iter()
+            .zip(self.read)
+            .filter(|(solved, read)| solved.is_ok() && !read)
+            .count() as u64
+    }
+}
+
 /// Exhaustive grid search over `(f, Vdd, Vbb)`.
 ///
 /// For each `(Vdd, Vbb)` pair the feasible frequency set is an interval
 /// (both the error rate and the temperature grow with `f`), so the scan
-/// over the frequency ladder is a batched guess-verify probe seeded by
-/// the previous pair's answer, falling back to binary search.
+/// over the frequency ladder is one batched probe above the pruning
+/// floor, falling back to binary search.
 ///
 /// Each optimizer instance owns a [`SolveCache`] and a struct-of-arrays
 /// [`BatchScratch`]; cached values are pure functions of the operating
 /// point, so sharing or not sharing an instance cannot change any result
 /// — only the hit rate. The `RefCell`s keep the query methods `&self`;
 /// instances are per-thread by construction (one per campaign sweep unit
-/// or training run). A `Cell` accumulates the pruning counts until
-/// [`Optimizer::flush_metrics`] drains them.
+/// or training run). `Cell`s accumulate the pruning and probe counts
+/// until [`Optimizer::flush_metrics`] drains them.
 #[derive(Debug, Clone, Default)]
 pub struct ExhaustiveOptimizer {
     cache: RefCell<SolveCache>,
     scratch: RefCell<BatchScratch>,
     pruned: Cell<PruneStats>,
+    probed: Cell<ProbeStats>,
 }
 
 impl ExhaustiveOptimizer {
@@ -84,9 +151,11 @@ impl ExhaustiveOptimizer {
         vbb: f64,
         mut lo: usize,
         mut hi: usize,
+        probed: &mut ProbeStats,
     ) -> usize {
         while hi - lo > 1 {
             let mid = (lo + hi) / 2;
+            probed.bisect_steps += 1;
             if eval.check_at(cache, mid, vdd, vbb).is_some() {
                 lo = mid;
             } else {
@@ -99,13 +168,21 @@ impl ExhaustiveOptimizer {
     /// Largest feasible ladder index at fixed `(vdd, vbb)` that is at least
     /// `floor_idx`, or `None`. Exploits monotonicity: error rate and
     /// temperature both grow with `f`, so feasibility is a prefix of the
-    /// ladder. The guess-verify probe set — the pruning floor, the
-    /// previous pair's answer `hint`, its successor, and the ladder top —
-    /// is evaluated as *one* struct-of-arrays batch; in the common case
-    /// (adjacent pairs share their frontier) that single batch decides
-    /// the pair outright, and only a genuinely moved frontier falls back
-    /// to scalar bisection. Callers prune by passing the best index found
-    /// so far as the floor.
+    /// ladder. Callers prune by passing the best index found so far as
+    /// the floor.
+    ///
+    /// The probe set `[floor, h, h + 1, top]` is solved as *one*
+    /// struct-of-arrays batch, where `h` is the previous pair's answer
+    /// `hint` clamped to the floor. A previous answer never exceeds the
+    /// best index, which lies below the floor, so `h` is always the floor
+    /// itself and the batch holds the floor twice; the duplicate costs one
+    /// memo lookup. The lanes are then admitted only as the branches read
+    /// them: `h`, then `h + 1`, then the top. The floor lane is read only
+    /// when `h` differs from it, so in practice never. In the common case
+    /// a failing floor decides the pair on one error-rate evaluation, and
+    /// only a frontier above `h + 1` and below the top falls back to
+    /// scalar bisection.
+    #[allow(clippy::too_many_arguments)]
     fn fmax_index_at(
         eval: &SceneEval<'_>,
         cache: &mut SolveCache,
@@ -114,7 +191,9 @@ impl ExhaustiveOptimizer {
         vbb: f64,
         floor_idx: usize,
         hint: Option<usize>,
+        probed: &mut ProbeStats,
     ) -> Option<usize> {
+        probed.pairs += 1;
         let last = FREQ_LADDER.len() - 1;
         if let Some(h) = hint {
             let h = h.clamp(floor_idx, last);
@@ -125,38 +204,40 @@ impl ExhaustiveOptimizer {
                 (h1, vdd, vbb),
                 (last, vdd, vbb),
             ];
-            let mut out = [None; 4];
-            eval.check_batch(cache, &lanes, scratch, &mut out);
-            let (floor_ok, h_ok, h1_ok, last_ok) = (
-                out[0].is_some(),
-                out[1].is_some(),
-                out[2].is_some(),
-                out[3].is_some(),
-            );
-            if h_ok {
+            let mut probe = LazyProbe::solve(eval, cache, scratch, lanes);
+            let idx = if probe.feasible(1) {
                 // Feasible guess: the frontier is at or above `h`.
-                if h == last || !h1_ok {
-                    return Some(h);
+                if h == last || !probe.feasible(2) {
+                    Some(h)
+                } else if probe.feasible(3) {
+                    Some(last)
+                } else {
+                    Some(Self::bisect(eval, cache, vdd, vbb, h1, last, probed))
                 }
-                if last_ok {
-                    return Some(last);
-                }
-                return Some(Self::bisect(eval, cache, vdd, vbb, h1, last));
-            }
-            // Infeasible guess: the frontier (if any) is below `h`.
-            if h == floor_idx || !floor_ok {
-                return None;
-            }
-            return Some(Self::bisect(eval, cache, vdd, vbb, floor_idx, h));
+            } else if h == floor_idx || !probe.feasible(0) {
+                // Infeasible guess: the frontier (if any) is below `h`.
+                None
+            } else {
+                Some(Self::bisect(eval, cache, vdd, vbb, floor_idx, h, probed))
+            };
+            probed.admit_skipped += probe.skipped();
+            return idx;
         }
-        let lanes = [(floor_idx, vdd, vbb), (last, vdd, vbb)];
-        let mut out = [None; 2];
-        eval.check_batch(cache, &lanes, scratch, &mut out);
-        out[0]?;
-        if out[1].is_some() {
-            return Some(last);
-        }
-        Some(Self::bisect(eval, cache, vdd, vbb, floor_idx, last))
+        let mut probe = LazyProbe::solve(
+            eval,
+            cache,
+            scratch,
+            [(floor_idx, vdd, vbb), (last, vdd, vbb)],
+        );
+        let idx = if !probe.feasible(0) {
+            None
+        } else if probe.feasible(1) {
+            Some(last)
+        } else {
+            Some(Self::bisect(eval, cache, vdd, vbb, floor_idx, last, probed))
+        };
+        probed.admit_skipped += probe.skipped();
+        idx
     }
 
     /// [`Optimizer::freq_max`] computed with the original uncached,
@@ -211,6 +292,7 @@ impl Optimizer for ExhaustiveOptimizer {
         // the row bound. Ladders are ascending.
         let vt0_max = (vbbs.len() > 1).then(|| eval.max_cell_vt0());
         let mut pruned = self.pruned.get();
+        let mut probed = self.probed.get();
         let mut best: Option<usize> = None;
         let mut hint: Option<usize> = None;
         // Scan both ladders from the top: the highest Vdd and Vbb usually
@@ -229,7 +311,8 @@ impl Optimizer for ExhaustiveOptimizer {
             }
             for &vbb in vbbs.iter().rev() {
                 let floor = best.map_or(0, |b| (b + 1).min(n - 1));
-                if let Some(idx) = Self::fmax_index_at(&eval, cache, scratch, vdd, vbb, floor, hint)
+                if let Some(idx) =
+                    Self::fmax_index_at(&eval, cache, scratch, vdd, vbb, floor, hint, &mut probed)
                 {
                     hint = Some(idx);
                     if best.is_none_or(|b| idx > b) {
@@ -238,7 +321,9 @@ impl Optimizer for ExhaustiveOptimizer {
                 }
             }
         }
+        probed.admit_pe += eval.pe_evals();
         self.pruned.set(pruned);
+        self.probed.set(probed);
         FREQ_LADDER.at(best.unwrap_or(0))
     }
 
@@ -256,6 +341,7 @@ impl Optimizer for ExhaustiveOptimizer {
         let vdds = scene.vdd_options();
         let vbbs = scene.vbb_options();
         let mut pruned = self.pruned.get();
+        let mut probed = self.probed.get();
         // A pair is skipped when its solve-free power lower bound already
         // exceeds the best power found so far (see
         // `SceneEval::power_lower_bound`); such a pair cannot replace it.
@@ -263,6 +349,24 @@ impl Optimizer for ExhaustiveOptimizer {
             best.is_some_and(|(bp, _, _)| bound_exceeds(bound, bp))
         };
         let mut best: Option<(f64, f64, f64)> = None; // (power, vdd, vbb)
+
+        // A solved pair replaces the best only if it is cheaper and
+        // feasible. Its power is known from the solve, so a pair that
+        // cannot be cheaper is never admitted.
+        let mut consider =
+            |best: &mut Option<(f64, f64, f64)>,
+             vdd: f64,
+             vbb: f64,
+             solved: Result<ThermalSolution, ThermalRunaway>| {
+                let Ok(sol) = solved else { return };
+                if best.is_none_or(|(bp, _, _)| sol.total_w() < bp) {
+                    if let Some((p, _t)) = eval.admit(f_ghz, vdd, vbb, solved) {
+                        *best = Some((p, vdd, vbb));
+                    }
+                } else {
+                    probed.admit_skipped += 1;
+                }
+            };
         for (row, &vdd) in vdds.iter().enumerate() {
             // Dynamic power alone rises with Vdd: once it exceeds the
             // best power, no higher supply can win either.
@@ -271,8 +375,8 @@ impl Optimizer for ExhaustiveOptimizer {
                 break;
             }
             match f_idx {
-                // On-ladder core frequency: evaluate the surviving lanes
-                // of this supply setting's Vbb row as one struct-of-arrays
+                // On-ladder core frequency: solve the surviving lanes of
+                // this supply setting's Vbb row as one struct-of-arrays
                 // batch.
                 Some(i) => {
                     let mut lanes = [(0usize, 0.0, 0.0); MAX_BATCH];
@@ -288,14 +392,10 @@ impl Optimizer for ExhaustiveOptimizer {
                     if width == 0 {
                         continue;
                     }
-                    let mut out = [None; MAX_BATCH];
-                    eval.check_batch(cache, &lanes[..width], scratch, &mut out);
-                    for (&(_, _, vbb), result) in lanes[..width].iter().zip(out) {
-                        if let Some((p, _t)) = result {
-                            if best.is_none_or(|(bp, _, _)| p < bp) {
-                                best = Some((p, vdd, vbb));
-                            }
-                        }
+                    let mut solved = [Err(ThermalRunaway { t_c: 0.0 }); MAX_BATCH];
+                    eval.solve_batch(cache, &lanes[..width], scratch, &mut solved);
+                    for (&(_, _, vbb), solved) in lanes[..width].iter().zip(solved) {
+                        consider(&mut best, vdd, vbb, solved);
                     }
                 }
                 None => {
@@ -304,16 +404,14 @@ impl Optimizer for ExhaustiveOptimizer {
                             pruned.pairs += 1;
                             continue;
                         }
-                        if let Some((p, _t)) = eval.check_free(f_core, vdd, vbb) {
-                            if best.is_none_or(|(bp, _, _)| p < bp) {
-                                best = Some((p, vdd, vbb));
-                            }
-                        }
+                        consider(&mut best, vdd, vbb, eval.solve_free(f_core, vdd, vbb));
                     }
                 }
             }
         }
+        probed.admit_pe += eval.pe_evals();
         self.pruned.set(pruned);
+        self.probed.set(probed);
         match best {
             Some((_, vdd, vbb)) => (vdd, vbb),
             // Nothing feasible at f_core: fall back to the nominal setting
@@ -331,6 +429,17 @@ impl Optimizer for ExhaustiveOptimizer {
         }
         if pruned.pairs > 0 {
             tracer.count_n(names::ORACLE_PRUNED_PAIRS, pruned.pairs);
+        }
+        let probed = self.probed.take();
+        for (name, n) in [
+            (names::ORACLE_PROBE_PAIRS, probed.pairs),
+            (names::ORACLE_PROBE_BISECT_STEPS, probed.bisect_steps),
+            (names::ORACLE_ADMIT_PE, probed.admit_pe),
+            (names::ORACLE_ADMIT_SKIPPED, probed.admit_skipped),
+        ] {
+            if n > 0 {
+                tracer.count_n(name, n);
+            }
         }
         let stats = self.cache.borrow_mut().take_stats();
         if stats.hits + stats.misses == 0 {
@@ -523,6 +632,51 @@ mod tests {
         assert_eq!(
             opt.pruned.get(),
             PruneStats::default(),
+            "flush drains the counts"
+        );
+    }
+
+    #[test]
+    fn abb_searches_admit_lazily_and_flush_their_probe_counts() {
+        let cfg = factory().config().clone();
+        let chip = factory().chip(2);
+        let opt = ExhaustiveOptimizer::new();
+        let state = chip.core(0).subsystem(SubsystemId::IntAlu);
+        let sc = scene(state, Environment::TS_ABB_ASV);
+        let fmax = opt.freq_max(&cfg, &sc);
+        let after_freq = opt.probed.get();
+        assert!(after_freq.pairs > 0, "no pair probed: {after_freq:?}");
+        // Every hinted probe holds the floor twice and reads at most one
+        // copy, so solved lanes are left unchecked.
+        assert!(after_freq.admit_pe > 0, "{after_freq:?}");
+        assert!(after_freq.admit_skipped > 0, "{after_freq:?}");
+        for step in [0.35, 0.3] {
+            opt.power_settings(&cfg, &sc, (fmax - step).max(FREQ_LADDER.min));
+        }
+        // The off-ladder path admits through the same step.
+        let off_ladder = fmax - 0.33;
+        assert!(FREQ_LADDER.index_of(off_ladder).is_none() && off_ladder > FREQ_LADDER.min);
+        opt.power_settings(&cfg, &sc, off_ladder);
+        let total = opt.probed.get();
+        assert_eq!(total.pairs, after_freq.pairs, "power search probes no pair");
+        assert!(total.admit_pe > after_freq.admit_pe, "{total:?}");
+
+        let collector = eval_trace::Collector::new();
+        opt.flush_metrics(Tracer::new(&collector));
+        let registry = collector.registry();
+        assert_eq!(registry.counter(names::ORACLE_PROBE_PAIRS), total.pairs);
+        assert_eq!(
+            registry.counter(names::ORACLE_PROBE_BISECT_STEPS),
+            total.bisect_steps
+        );
+        assert_eq!(registry.counter(names::ORACLE_ADMIT_PE), total.admit_pe);
+        assert_eq!(
+            registry.counter(names::ORACLE_ADMIT_SKIPPED),
+            total.admit_skipped
+        );
+        assert_eq!(
+            opt.probed.get(),
+            ProbeStats::default(),
             "flush drains the counts"
         );
     }

@@ -5,12 +5,15 @@
 // lint:hot-path — this module is on the operating-point fast path; the
 // no-alloc-in-check rule forbids Vec construction outside tests here.
 
+use std::cell::Cell;
+
 use eval_core::{
     Environment, EvalConfig, OperatingConditions, SubsystemState, VariantSelection,
 };
 use eval_power::{
     solve_thermal, solve_thermal_reference, BatchScratch, OperatingPoint, SolveCache,
-    SubsystemPowerParams, ThermalEnvironment, ThermalRunaway, FREQ_LADDER, MAX_BATCH,
+    SubsystemPowerParams, ThermalEnvironment, ThermalRunaway, ThermalSolution, FREQ_LADDER,
+    MAX_BATCH,
 };
 use eval_timing::StageTiming;
 use eval_trace::Tracer;
@@ -149,6 +152,8 @@ pub struct SceneEval<'a> {
     t_max_c: f64,
     rho: f64,
     pe_budget: f64,
+    /// Error-rate evaluations run by [`admit`](SceneEval::admit).
+    pe_evals: Cell<u64>,
 }
 
 impl<'a> SceneEval<'a> {
@@ -165,7 +170,41 @@ impl<'a> SceneEval<'a> {
             t_max_c: config.constraints.t_max_c,
             rho: scene.rho,
             pe_budget: scene.pe_budget,
+            pe_evals: Cell::new(0),
         }
+    }
+
+    /// Error-rate evaluations [`admit`](SceneEval::admit) has run so far.
+    pub(crate) fn pe_evals(&self) -> u64 {
+        self.pe_evals.get()
+    }
+
+    /// The constraint checks of one solved candidate `(f, vdd, vbb)`: a
+    /// runaway or a temperature over `TMAX` fails, then the error rate
+    /// must stay within the budget. Returns `(power_w, t_c)` when the
+    /// candidate is feasible. Every check of this scene, batched or not,
+    /// admits through here, so callers may skip a lane whose answer they
+    /// would not read without changing any answer they do read.
+    pub(crate) fn admit(
+        &self,
+        f_ghz: f64,
+        vdd: f64,
+        vbb: f64,
+        solved: Result<ThermalSolution, ThermalRunaway>,
+    ) -> Option<(f64, f64)> {
+        let sol = solved.ok()?;
+        if sol.t_c > self.t_max_c {
+            return None;
+        }
+        let cond = OperatingConditions {
+            vdd: Volts::raw(vdd),
+            vbb: Volts::raw(vbb),
+            t_c: sol.t_c,
+        };
+        self.pe_evals.set(self.pe_evals.get() + 1);
+        self.timing
+            .pe_access_bounded(GHz::raw(f_ghz), &cond, self.rho, self.pe_budget)?;
+        Some((sol.total_w(), sol.t_c))
     }
 
     /// [`SubsystemScene::check`] for the frequency-ladder point `f_idx`,
@@ -180,36 +219,27 @@ impl<'a> SceneEval<'a> {
         vdd: f64,
         vbb: f64,
     ) -> Option<(f64, f64)> {
-        let sol = cache
-            .solve_ladder(
-                &self.params,
-                &self.tenv,
-                self.device,
-                f_idx,
-                Volts::raw(vdd),
-                Volts::raw(vbb),
-            )
-            .ok()?;
-        if sol.t_c > self.t_max_c {
-            return None;
-        }
-        let cond = OperatingConditions {
-            vdd: Volts::raw(vdd),
-            vbb: Volts::raw(vbb),
-            t_c: sol.t_c,
-        };
-        self.timing
-            .pe_access_bounded(GHz::raw(FREQ_LADDER.at(f_idx)), &cond, self.rho, self.pe_budget)?;
-        Some((sol.total_w(), sol.t_c))
+        let solved = cache.solve_ladder(
+            &self.params,
+            &self.tenv,
+            self.device,
+            f_idx,
+            Volts::raw(vdd),
+            Volts::raw(vbb),
+        );
+        self.admit(FREQ_LADDER.at(f_idx), vdd, vbb, solved)
     }
 
     /// [`check_at`] for a whole slice of ladder candidates
-    /// `(f_idx, vdd, vbb)` at once: the thermal solves run as one
-    /// struct-of-arrays batch through the cache, then the constraint
-    /// checks apply per lane. `out[i]` receives exactly what
-    /// [`check_at`] would have returned for lane `i`, in lane order.
+    /// `(f_idx, vdd, vbb)` at once: [`solve_batch`] runs the thermal
+    /// solves as one struct-of-arrays batch through the cache, then
+    /// [`admit`] checks the constraints per lane. `out[i]` receives
+    /// exactly what [`check_at`] would have returned for lane `i`, in
+    /// lane order.
     ///
     /// [`check_at`]: SceneEval::check_at
+    /// [`solve_batch`]: SceneEval::solve_batch
+    /// [`admit`]: SceneEval::admit
     ///
     /// # Panics
     ///
@@ -222,40 +252,45 @@ impl<'a> SceneEval<'a> {
         scratch: &mut BatchScratch,
         out: &mut [Option<(f64, f64)>],
     ) {
-        assert!(lanes.len() <= MAX_BATCH, "batch exceeds MAX_BATCH");
         assert!(out.len() >= lanes.len(), "output slice too short");
+        let mut solved = [Err(ThermalRunaway { t_c: 0.0 }); MAX_BATCH];
+        self.solve_batch(cache, lanes, scratch, &mut solved);
+        for (i, &(f_idx, vdd, vbb)) in lanes.iter().enumerate() {
+            out[i] = self.admit(FREQ_LADDER.at(f_idx), vdd, vbb, solved[i]);
+        }
+    }
+
+    /// The thermal solves of ladder candidates `(f_idx, vdd, vbb)` as one
+    /// struct-of-arrays batch through `cache`, with no constraint check:
+    /// `solved[i]` is lane `i`'s solve. Pass each lane to [`admit`] to
+    /// check it; lanes whose answer is never read need not be.
+    ///
+    /// [`admit`]: SceneEval::admit
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lanes.len() > MAX_BATCH` or `solved` is shorter than
+    /// `lanes`.
+    pub(crate) fn solve_batch(
+        &self,
+        cache: &mut SolveCache,
+        lanes: &[(usize, f64, f64)],
+        scratch: &mut BatchScratch,
+        solved: &mut [Result<ThermalSolution, ThermalRunaway>],
+    ) {
+        assert!(lanes.len() <= MAX_BATCH, "batch exceeds MAX_BATCH");
         let mut typed = [(0usize, Volts::raw(0.0), Volts::raw(0.0)); MAX_BATCH];
         for (i, &(f_idx, vdd, vbb)) in lanes.iter().enumerate() {
             typed[i] = (f_idx, Volts::raw(vdd), Volts::raw(vbb));
         }
-        let mut solved = [Err(ThermalRunaway { t_c: 0.0 }); MAX_BATCH];
         cache.solve_ladder_batch(
             &self.params,
             &self.tenv,
             self.device,
             &typed[..lanes.len()],
             scratch,
-            &mut solved,
+            solved,
         );
-        for (i, &(f_idx, vdd, vbb)) in lanes.iter().enumerate() {
-            out[i] = solved[i].ok().and_then(|sol| {
-                if sol.t_c > self.t_max_c {
-                    return None;
-                }
-                let cond = OperatingConditions {
-                    vdd: Volts::raw(vdd),
-                    vbb: Volts::raw(vbb),
-                    t_c: sol.t_c,
-                };
-                self.timing.pe_access_bounded(
-                    GHz::raw(FREQ_LADDER.at(f_idx)),
-                    &cond,
-                    self.rho,
-                    self.pe_budget,
-                )?;
-                Some((sol.total_w(), sol.t_c))
-            });
-        }
     }
 
     /// Dynamic power at `(f, vdd)`: the `Pdyn` term of every solve of this
@@ -383,19 +418,22 @@ impl<'a> SceneEval<'a> {
     /// [`SubsystemScene::check`] for an arbitrary (possibly off-ladder)
     /// frequency: a direct canonical cold-start solve, no memoization.
     pub fn check_free(&self, f_ghz: f64, vdd: f64, vbb: f64) -> Option<(f64, f64)> {
+        self.admit(f_ghz, vdd, vbb, self.solve_free(f_ghz, vdd, vbb))
+    }
+
+    /// The thermal solve of [`check_free`] alone, with no constraint
+    /// check; pass it to [`admit`] to check it.
+    ///
+    /// [`check_free`]: SceneEval::check_free
+    /// [`admit`]: SceneEval::admit
+    pub(crate) fn solve_free(
+        &self,
+        f_ghz: f64,
+        vdd: f64,
+        vbb: f64,
+    ) -> Result<ThermalSolution, ThermalRunaway> {
         let op = OperatingPoint::raw(f_ghz, vdd, vbb);
-        let sol = solve_thermal(&self.params, &self.tenv, &op, self.device).ok()?;
-        if sol.t_c > self.t_max_c {
-            return None;
-        }
-        let cond = OperatingConditions {
-            vdd: Volts::raw(vdd),
-            vbb: Volts::raw(vbb),
-            t_c: sol.t_c,
-        };
-        self.timing
-            .pe_access_bounded(GHz::raw(f_ghz), &cond, self.rho, self.pe_budget)?;
-        Some((sol.total_w(), sol.t_c))
+        solve_thermal(&self.params, &self.tenv, &op, self.device)
     }
 }
 
@@ -429,4 +467,83 @@ pub trait Optimizer {
     /// metrics. Drivers call this at natural boundaries (end of a
     /// campaign cell, end of training); the default does nothing.
     fn flush_metrics(&self, _tracer: Tracer<'_>) {}
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use eval_core::{ChipFactory, SubsystemId, N_SUBSYSTEMS};
+    use eval_power::{vbb_steps, vdd_steps};
+
+    fn result_bits(r: Option<(f64, f64)>) -> Option<(u64, u64)> {
+        r.map(|(p, t)| (p.to_bits(), t.to_bits()))
+    }
+
+    /// `check_batch` equals `solve_batch` followed by `admit` on every
+    /// lane, bit for bit, with the same cache counters. The
+    /// lanes repeat points within a batch and across batches, and the hot
+    /// scenes push the top lanes into thermal runaway.
+    #[test]
+    fn check_batch_is_solve_batch_then_admit_per_lane() {
+        let factory = ChipFactory::new(EvalConfig::micro08());
+        let cfg = factory.config().clone();
+        let chip = factory.chip(3);
+        let (vdds, vbbs) = (vdd_steps(), vbb_steps());
+        let (vdd_top, vbb_top) = (vdds[vdds.len() - 1], vbbs[vbbs.len() - 1]);
+        let top = FREQ_LADDER.len() - 1;
+        let lanes = [
+            (0, vdds[0], vbbs[0]),
+            (top / 2, 1.0, 0.0),
+            (top, vdd_top, vbb_top),
+            (top / 2, 1.0, 0.0),
+            (top - 1, vdd_top, vbb_top),
+            (top, vdd_top, 0.0),
+            (top / 3, vdds[vdds.len() / 2], vbbs[vbbs.len() / 2]),
+            (top, vdd_top, vbb_top),
+        ];
+        let (mut runaway, mut feasible, mut infeasible) = (0, 0, 0);
+        for id in SubsystemId::ALL {
+            let state = chip.core(0).subsystem(id);
+            let (mut cache_a, mut cache_b) = (SolveCache::new(), SolveCache::new());
+            let (mut scratch_a, mut scratch_b) = (BatchScratch::new(), BatchScratch::new());
+            for th_c in [50.0, 85.0, 120.0, 85.0] {
+                let scene = SubsystemScene {
+                    state,
+                    variants: VariantSelection::default(),
+                    th_c,
+                    alpha_f: 1.0,
+                    rho: 0.6,
+                    pe_budget: 1e-4 / N_SUBSYSTEMS as f64,
+                    env: Environment::ALL,
+                };
+                let eval = SceneEval::new(&cfg, &scene);
+                let mut out = [None; MAX_BATCH];
+                eval.check_batch(&mut cache_a, &lanes, &mut scratch_a, &mut out);
+                let mut solved = [Err(ThermalRunaway { t_c: 0.0 }); MAX_BATCH];
+                eval.solve_batch(&mut cache_b, &lanes, &mut scratch_b, &mut solved);
+                for (i, &(f_idx, vdd, vbb)) in lanes.iter().enumerate() {
+                    let split = eval.admit(FREQ_LADDER.at(f_idx), vdd, vbb, solved[i]);
+                    assert_eq!(
+                        result_bits(out[i]),
+                        result_bits(split),
+                        "{id} TH {th_c} lane {i}"
+                    );
+                    match (solved[i], split) {
+                        (Err(_), _) => runaway += 1,
+                        (Ok(_), Some(_)) => feasible += 1,
+                        (Ok(_), None) => infeasible += 1,
+                    }
+                }
+                assert_eq!(
+                    cache_a.stats(),
+                    cache_b.stats(),
+                    "{id} TH {th_c}: cache counters"
+                );
+            }
+        }
+        assert!(
+            runaway > 0 && feasible > 0 && infeasible > 0,
+            "lanes must cover every outcome: {runaway} runaway, {feasible} feasible, {infeasible} infeasible"
+        );
+    }
 }

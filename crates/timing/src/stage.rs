@@ -1,7 +1,7 @@
 //! Per-subsystem timing under variation and operating conditions.
 
 use eval_units::{GHz, UnitRangeError, Volts};
-use eval_variation::{delay_factor, ChipMap, DeviceParams};
+use eval_variation::{leff_delay_term, ChipMap, DelayTerms, DeviceParams};
 
 use crate::paths::PathDistribution;
 use crate::kind::PathClass;
@@ -53,6 +53,19 @@ struct CellDevice {
     vt0: f64,
     /// Normalized effective channel length.
     leff: f64,
+    /// The cell's channel-length delay term, `leff_delay_term(leff)`,
+    /// computed once at construction.
+    leff_term: f64,
+}
+
+impl CellDevice {
+    fn new(device: &DeviceParams, vt0: f64, leff: f64) -> Self {
+        Self {
+            vt0,
+            leff,
+            leff_term: leff_delay_term(device, leff),
+        }
+    }
 }
 
 /// The timing model of one pipeline stage (subsystem) on a specific chip:
@@ -109,10 +122,7 @@ impl StageTiming {
         let dist = class.nominal_distribution(t_nom_ns).widened(rel_rand);
         let cells = cells
             .iter()
-            .map(|&c| CellDevice {
-                vt0: chip.vt.at(c),
-                leff: chip.leff.at(c),
-            })
+            .map(|&c| CellDevice::new(&device, chip.vt.at(c), chip.leff.at(c)))
             .collect();
         Self {
             dist,
@@ -137,7 +147,7 @@ impl StageTiming {
             dist,
             cells: vt0_leff_pairs
                 .iter()
-                .map(|&(vt0, leff)| CellDevice { vt0, leff })
+                .map(|&(vt0, leff)| CellDevice::new(&device, vt0, leff))
                 .collect(),
             device,
         }
@@ -176,19 +186,34 @@ impl StageTiming {
         self.cells.iter().map(|c| (c.vt0, c.leff))
     }
 
-    /// Per-cell delay factor (relative to nominal) at `cond`.
-    fn cell_factor(&self, cell: &CellDevice, cond: &OperatingConditions) -> f64 {
+    /// The per-query delay terms at `cond`, hoisted out of the cell loops.
+    fn delay_terms(&self, cond: &OperatingConditions) -> DelayTerms {
+        DelayTerms::new(&self.device, cond.vdd.get(), cond.t_c)
+    }
+
+    /// Per-cell delay factor (relative to nominal) at `cond`, given that
+    /// query's [`delay_terms`]: `delay_factor` at the cell's local `Vt`,
+    /// bit for bit.
+    ///
+    /// [`delay_terms`]: StageTiming::delay_terms
+    fn cell_factor(
+        &self,
+        terms: &DelayTerms,
+        cell: &CellDevice,
+        cond: &OperatingConditions,
+    ) -> f64 {
         let vt = self
             .device
             .vt_at(cell.vt0, cond.t_c, cond.vdd.get(), cond.vbb.get());
-        delay_factor(&self.device, vt, cell.leff, cond.vdd.get(), cond.t_c)
+        terms.factor(vt, cell.leff_term)
     }
 
     /// The largest per-cell delay factor at `cond` (the slowest spot).
     pub fn worst_cell_factor(&self, cond: &OperatingConditions) -> f64 {
+        let terms = self.delay_terms(cond);
         self.cells
             .iter()
-            .map(|c| self.cell_factor(c, cond))
+            .map(|c| self.cell_factor(&terms, c, cond))
             .fold(f64::NEG_INFINITY, f64::max)
     }
 
@@ -202,9 +227,10 @@ impl StageTiming {
         assert!(f.get() > 0.0, "frequency must be positive");
         let t = f.period_ns();
         let per_cell_paths = self.dist.paths() / self.cells.len() as f64;
+        let terms = self.delay_terms(cond);
         let mut log_ok = 0.0f64;
         for cell in &self.cells {
-            let kappa = self.cell_factor(cell, cond);
+            let kappa = self.cell_factor(&terms, cell, cond);
             let q = self.dist.scaled(kappa).single_path_miss(t);
             if q >= 1.0 {
                 return 1.0;
@@ -241,9 +267,10 @@ impl StageTiming {
         assert!(f.get() > 0.0, "frequency must be positive");
         let t = f.period_ns();
         let per_cell_paths = self.dist.paths() / self.cells.len() as f64;
+        let terms = self.delay_terms(cond);
         let mut log_ok = 0.0f64;
         for cell in &self.cells {
-            let kappa = self.cell_factor(cell, cond);
+            let kappa = self.cell_factor(&terms, cell, cond);
             let q = self.dist.scaled(kappa).single_path_miss(t);
             if q >= 1.0 {
                 // `pe_access` returns 1.0 here; mirror its caller's
@@ -296,7 +323,7 @@ impl StageTiming {
 mod tests {
     use super::*;
     use crate::kind::{PathClass, SubsystemKind};
-    use eval_variation::{ChipGrid, VariationModel, VariationParams};
+    use eval_variation::{delay_factor, ChipGrid, VariationModel, VariationParams};
 
     fn test_stage(kind: SubsystemKind, seed: u64) -> StageTiming {
         let model = VariationModel::new(ChipGrid::square(8), VariationParams::micro08());
@@ -428,6 +455,90 @@ mod tests {
             mem < logic,
             "memory span {mem} should be narrower than logic span {logic}"
         );
+    }
+
+    /// The per-cell error-rate product evaluated with one `delay_factor`
+    /// call per cell and nothing hoisted: the oracle for the hoisted
+    /// evaluation in `StageTiming`.
+    fn pe_per_cell_delay_factor(
+        dist: PathDistribution,
+        device: &DeviceParams,
+        cells: &[(f64, f64)],
+        f: GHz,
+        cond: &OperatingConditions,
+    ) -> f64 {
+        let t = f.period_ns();
+        let per_cell_paths = dist.paths() / cells.len() as f64;
+        let mut log_ok = 0.0f64;
+        for &(vt0, leff) in cells {
+            let vt = device.vt_at(vt0, cond.t_c, cond.vdd.get(), cond.vbb.get());
+            let kappa = delay_factor(device, vt, leff, cond.vdd.get(), cond.t_c);
+            let q = dist.scaled(kappa).single_path_miss(t);
+            if q >= 1.0 {
+                return 1.0;
+            }
+            log_ok += per_cell_paths * (-q).ln_1p();
+        }
+        -log_ok.exp_m1()
+    }
+
+    mod proptests {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn prop_hoisted_cell_terms_match_delay_factor_bitwise(
+                n_cells in 1usize..13,
+                vt0s in proptest::collection::vec(0.15f64..0.35, 12),
+                leffs in proptest::collection::vec(0.85f64..1.15, 12),
+                vdd in 0.8f64..1.2,
+                vbb in -0.5f64..0.5,
+                t_c in 30.0f64..120.0,
+                f_ghz in 2.0f64..6.5,
+                log_cap in -12.0f64..-1.0,
+            ) {
+                let device = DeviceParams::micro08();
+                let cells: Vec<(f64, f64)> = vt0s
+                    .iter()
+                    .zip(&leffs)
+                    .take(n_cells)
+                    .map(|(&vt0, &leff)| (vt0, leff))
+                    .collect();
+                let dist = PathClass::for_kind(SubsystemKind::Logic)
+                    .nominal_distribution(0.25)
+                    .widened(0.03);
+                let stage = StageTiming::from_parts(dist, &cells, device);
+                let cond = OperatingConditions {
+                    vdd: Volts::raw(vdd),
+                    vbb: Volts::raw(vbb),
+                    t_c,
+                };
+                let terms = stage.delay_terms(&cond);
+                let mut worst = f64::NEG_INFINITY;
+                for (cell, &(vt0, leff)) in stage.cells.iter().zip(&cells) {
+                    let vt = device.vt_at(vt0, t_c, vdd, vbb);
+                    let reference = delay_factor(&device, vt, leff, vdd, t_c);
+                    let hoisted = stage.cell_factor(&terms, cell, &cond);
+                    prop_assert_eq!(hoisted.to_bits(), reference.to_bits());
+                    worst = worst.max(reference);
+                }
+                prop_assert_eq!(stage.worst_cell_factor(&cond).to_bits(), worst.to_bits());
+
+                let f = GHz::raw(f_ghz);
+                let pe = pe_per_cell_delay_factor(dist, &device, &cells, f, &cond);
+                prop_assert_eq!(stage.pe_access(f, &cond).to_bits(), pe.to_bits());
+                let (scale, cap) = (0.6, 10f64.powf(log_cap));
+                let bounded = stage.pe_access_bounded(f, &cond, scale, cap);
+                if scale * pe > cap {
+                    prop_assert!(bounded.is_none(), "expected None, reference pe {}", pe);
+                } else {
+                    prop_assert_eq!(bounded.map(f64::to_bits), Some(pe.to_bits()));
+                }
+            }
+        }
     }
 
     #[test]

@@ -118,6 +118,18 @@ pub const ORACLE_PRUNED_ROWS: &str = "oracle.pruned.rows";
 /// `(Vdd, Vbb)` pairs the exhaustive oracle skipped on a solve-free
 /// bound, those of skipped rows included (counter).
 pub const ORACLE_PRUNED_PAIRS: &str = "oracle.pruned.pairs";
+/// `(Vdd, Vbb)` pairs that reached the exhaustive oracle's frequency
+/// probe (counter).
+pub const ORACLE_PROBE_PAIRS: &str = "oracle.probe.pairs";
+/// Scalar checks run by the frequency probe's bisection fallback
+/// (counter).
+pub const ORACLE_PROBE_BISECT_STEPS: &str = "oracle.probe.bisect_steps";
+/// Error-rate evaluations the exhaustive oracle ran to admit solved
+/// candidates (counter).
+pub const ORACLE_ADMIT_PE: &str = "oracle.admit.pe";
+/// Solved candidates the exhaustive oracle left unchecked, because no
+/// answer read them (counter).
+pub const ORACLE_ADMIT_SKIPPED: &str = "oracle.admit.skipped";
 
 /// Ladder probes evaluated by the retuning loop (counter).
 pub const RETUNE_PROBES: &str = "retune.probes";
@@ -195,6 +207,10 @@ pub const ALL_METRICS: &[&str] = &[
     SOLVER_BATCH_WIDTH,
     ORACLE_PRUNED_ROWS,
     ORACLE_PRUNED_PAIRS,
+    ORACLE_PROBE_PAIRS,
+    ORACLE_PROBE_BISECT_STEPS,
+    ORACLE_ADMIT_PE,
+    ORACLE_ADMIT_SKIPPED,
     RETUNE_PROBES,
     FUZZY_CONTROLLERS_TRAINED,
     CONTROLLER_ZOO_TRAINED,

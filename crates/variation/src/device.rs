@@ -105,20 +105,61 @@ impl Default for DeviceParams {
 /// assert!(delay_factor(&p, p.vt_nominal, 1.0, 1.1, 100.0) < 1.0);
 /// ```
 pub fn delay_factor(p: &DeviceParams, vt: f64, leff: f64, vdd: f64, t_c: f64) -> f64 {
-    assert!(
-        vdd > vt,
-        "supply voltage {vdd} V must exceed threshold {vt} V"
-    );
-    let t_k = t_c + KELVIN;
-    let t_ref_k = p.t_ref_c + KELVIN;
-    let overdrive = (vdd - vt).powf(p.alpha);
-    let overdrive_nom = (p.vdd_nominal - p.vt_nominal).powf(p.alpha);
-    // mu(T) ∝ T^-mu_exp, so delay ∝ T^mu_exp.
-    let mobility = (t_k / t_ref_k).powf(p.mu_exp);
-    (vdd / p.vdd_nominal)
-        * (leff / p.leff_nominal).powf(p.leff_exp)
-        * mobility
-        * (overdrive_nom / overdrive)
+    DelayTerms::new(p, vdd, t_c).factor(vt, leff_delay_term(p, leff))
+}
+
+/// The channel-length term of [`delay_factor`], `(Leff / Leff0)^leff_exp`.
+/// It depends on the cell alone, so a timing model computes it once per
+/// grid cell instead of once per query.
+pub fn leff_delay_term(p: &DeviceParams, leff: f64) -> f64 {
+    (leff / p.leff_nominal).powf(p.leff_exp)
+}
+
+/// The terms of [`delay_factor`] fixed by one query's supply and
+/// temperature: `Vdd / Vdd0`, the mobility factor and the nominal
+/// overdrive. Built once per query, they leave one `powf` per cell.
+/// [`DelayTerms::factor`] multiplies the terms in [`delay_factor`]'s
+/// order, so the hoisted evaluation is the same value bit for bit.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DelayTerms {
+    vdd: f64,
+    alpha: f64,
+    vdd_ratio: f64,
+    mobility: f64,
+    overdrive_nom: f64,
+}
+
+impl DelayTerms {
+    /// Hoists the per-query terms at supply `vdd` and temperature `t_c`.
+    pub fn new(p: &DeviceParams, vdd: f64, t_c: f64) -> Self {
+        let t_k = t_c + KELVIN;
+        let t_ref_k = p.t_ref_c + KELVIN;
+        // mu(T) ~ T^-mu_exp, so delay ~ T^mu_exp.
+        Self {
+            vdd,
+            alpha: p.alpha,
+            vdd_ratio: vdd / p.vdd_nominal,
+            mobility: (t_k / t_ref_k).powf(p.mu_exp),
+            overdrive_nom: (p.vdd_nominal - p.vt_nominal).powf(p.alpha),
+        }
+    }
+
+    /// The delay factor of a cell with local threshold `vt` and channel
+    /// term `leff_term` (see [`leff_delay_term`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the device would not switch (`vdd <= vt`), as
+    /// [`delay_factor`] does.
+    pub fn factor(&self, vt: f64, leff_term: f64) -> f64 {
+        let vdd = self.vdd;
+        assert!(
+            vdd > vt,
+            "supply voltage {vdd} V must exceed threshold {vt} V"
+        );
+        let overdrive = (vdd - vt).powf(self.alpha);
+        self.vdd_ratio * leff_term * self.mobility * (self.overdrive_nom / overdrive)
+    }
 }
 
 /// Relative subthreshold-leakage factor: 1.0 at nominal `(Vt, Vdd, T)`.
@@ -194,6 +235,27 @@ mod tests {
         let lo = leakage_factor(&p, p.vt_nominal - 0.0405, 1.0, 100.0);
         let hi = leakage_factor(&p, p.vt_nominal + 0.0405, 1.0, 100.0);
         assert!(lo > 1.5 && hi < 0.7, "lo={lo} hi={hi}");
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prop_delay_factor_matches_its_closed_form_bitwise(
+            vt in 0.05f64..0.6,
+            leff in 0.8f64..1.2,
+            vdd in 0.8f64..1.2,
+            t_c in 20.0f64..130.0,
+        ) {
+            // The alpha-power law written out in one expression, with the
+            // terms multiplied in the documented order.
+            let p = DeviceParams::micro08();
+            let closed_form = (vdd / p.vdd_nominal)
+                * (leff / p.leff_nominal).powf(p.leff_exp)
+                * ((t_c + KELVIN) / (p.t_ref_c + KELVIN)).powf(p.mu_exp)
+                * ((p.vdd_nominal - p.vt_nominal).powf(p.alpha) / (vdd - vt).powf(p.alpha));
+            let hoisted = DelayTerms::new(&p, vdd, t_c).factor(vt, leff_delay_term(&p, leff));
+            proptest::prop_assert_eq!(delay_factor(&p, vt, leff, vdd, t_c).to_bits(), closed_form.to_bits());
+            proptest::prop_assert_eq!(hoisted.to_bits(), closed_form.to_bits());
+        }
     }
 
     #[test]

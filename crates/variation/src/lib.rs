@@ -40,7 +40,7 @@ pub mod maps;
 pub mod population;
 
 pub use correlation::spherical_correlation;
-pub use device::{delay_factor, leakage_factor, DeviceParams};
+pub use device::{delay_factor, leakage_factor, leff_delay_term, DelayTerms, DeviceParams};
 pub use gaussian::{erfc, inverse_normal_cdf, inverse_normal_tail, normal_cdf, normal_tail};
 pub use grid::ChipGrid;
 pub use linalg::{CholeskyError, LowerTriangular, Matrix};
